@@ -99,7 +99,7 @@ case "$MODE" in
       -DBA_SANITIZE=thread \
       -DBA_BUILD_BENCHMARKS=OFF \
       -DBA_BUILD_EXAMPLES=OFF
-    TSAN_TESTS="serve_test sharded_serve_test snapshot_test util_test obs_test parallel_train_test resilience_test chaos_test protocol_test net_test async_classify_test"
+    TSAN_TESTS="serve_test sharded_serve_test snapshot_test util_test obs_test parallel_train_test resilience_test chaos_test protocol_test net_test async_classify_test graph_builder_test"
     # shellcheck disable=SC2086
     cmake --build "$BUILD_DIR" -j "$(nproc)" \
       --target $TSAN_TESTS

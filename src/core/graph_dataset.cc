@@ -1,8 +1,5 @@
 #include "core/graph_dataset.h"
 
-#include <atomic>
-#include <memory>
-
 #include "obs/trace.h"
 #include "util/thread_pool.h"
 
@@ -40,54 +37,33 @@ std::vector<AddressSample> GraphDatasetBuilder::Build(
   // while construction runs.
   const chain::LedgerSnapshot snapshot = ledger.Snapshot();
 
-  auto build_one = [&](GraphConstructor* constructor, size_t i) {
+  // One constructor per address (its timing accumulators are not
+  // thread-safe); timings are summed in index order afterwards, so the
+  // totals do not depend on the thread count.
+  std::vector<StageTimings> timings(n);
+  auto build_one = [&](size_t i) {
+    GraphConstructor constructor(options_.construction);
     AddressSample& sample = samples[i];
     sample.address = addresses[i].address;
     sample.label = static_cast<int>(addresses[i].label);
-    sample.graphs = constructor->BuildGraphs(snapshot, addresses[i].address);
+    sample.graphs = constructor.BuildGraphs(snapshot, addresses[i].address);
     sample.tensors.reserve(sample.graphs.size());
     for (const auto& g : sample.graphs) {
       sample.tensors.push_back(PrepareGraphTensors(g, options_.k_hops));
     }
+    timings[i] = constructor.timings();
   };
-
   if (options_.num_threads == 1) {
-    GraphConstructor constructor(options_.construction);
-    for (size_t i = 0; i < n; ++i) build_one(&constructor, i);
-    const StageTimings& t = constructor.timings();
+    for (size_t i = 0; i < n; ++i) build_one(i);
+  } else {
+    ThreadPool pool(static_cast<size_t>(options_.num_threads));
+    pool.ParallelFor(n, build_one);
+  }
+  for (const StageTimings& t : timings) {
     timings_.extract_seconds += t.extract_seconds;
     timings_.single_compress_seconds += t.single_compress_seconds;
     timings_.multi_compress_seconds += t.multi_compress_seconds;
     timings_.augment_seconds += t.augment_seconds;
-  } else {
-    // One constructor per worker; timings summed afterwards.
-    const size_t workers = static_cast<size_t>(options_.num_threads);
-    std::vector<std::unique_ptr<GraphConstructor>> constructors;
-    constructors.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      constructors.push_back(
-          std::make_unique<GraphConstructor>(options_.construction));
-    }
-    ThreadPool pool(workers);
-    std::atomic<size_t> next{0};
-    for (size_t w = 0; w < workers; ++w) {
-      const bool accepted = pool.Submit([&, w] {
-        for (;;) {
-          const size_t i = next.fetch_add(1);
-          if (i >= n) break;
-          build_one(constructors[w].get(), i);
-        }
-      });
-      BA_CHECK(accepted);  // freshly constructed pool cannot be shut down
-    }
-    pool.Wait();
-    for (const auto& c : constructors) {
-      const StageTimings& t = c->timings();
-      timings_.extract_seconds += t.extract_seconds;
-      timings_.single_compress_seconds += t.single_compress_seconds;
-      timings_.multi_compress_seconds += t.multi_compress_seconds;
-      timings_.augment_seconds += t.augment_seconds;
-    }
   }
 
   // Drop empty histories.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -766,15 +767,23 @@ void InferenceEngine::ProcessBatch(const std::vector<Request*>& batch) {
   }
 
   // Stage 2 — graph construction + encoder forward for the tail slices
-  // of every miss, fanned out over the pool. The classifier's inference
-  // paths are const and share frozen weights, so workers may embed
-  // concurrently.
+  // of every miss, fanned out over the pool (a leader running on a pool
+  // worker takes units itself). The classifier's inference paths are
+  // const and share frozen weights, so workers may embed concurrently.
+  // Units are claimed longest history first, so the last one to start
+  // is a short one; each writes only its own Work, and `work` keeps its
+  // order for aggregation and cache refresh.
   if (!work.empty()) {
     BA_TRACE_SPAN("serve.batch.build_embed");
     const core::GraphModel& model = classifier_->graph_model();
     const bool int8 = options_.precision == Precision::kInt8;
-    pool_->ParallelFor(work.size(), [&](size_t i) {
-      Work& w = work[i];
+    std::vector<size_t> order(work.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return work[a].tx_count > work[b].tx_count;
+    });
+    pool_->ParallelFor(work.size(), [&](size_t k) {
+      Work& w = work[order[k]];
       core::GraphConstructor ctor(
           classifier_->options().dataset.construction);
       const std::vector<core::AddressGraph> graphs =
@@ -969,6 +978,10 @@ Status InferenceEngine::SaveCacheOnce() const {
     std::unique_lock<std::mutex> lock(cache_mu_);
     entries.assign(cache_.begin(), cache_.end());
   }
+  // Address order makes the file a function of the cache contents
+  // alone, not of the hash map's insertion history.
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   std::string body;
   body.append(kCacheMagic, sizeof(kCacheMagic));
   AppendPod(&body, kCacheVersion);

@@ -36,7 +36,11 @@
 ///    `max_batch_size` requests, and fans the expensive graph
 ///    construction + encoder forward passes out over a shared
 ///    `util::ThreadPool`. Followers block until the leader fulfills
-///    their request (group commit).
+///    their request (group commit). A blocking caller leads on its own
+///    thread and waits while pool workers build; an async
+///    (ClassifyAsync) leader runs as a pool task and builds alongside
+///    the other workers, so either way a cold batch uses the whole
+///    pool. The misses of a batch are built longest history first.
 ///
 ///  * **Incremental caching.** Results are cached per address, keyed on
 ///    the length of the address's transaction history (a proxy for
@@ -121,10 +125,12 @@ struct InferenceEngineOptions {
   /// embeddings are precision-specific (the cache file records which
   /// path produced it and refuses a mismatched warm start).
   Precision precision = Precision::kFp32;
-  /// Worker threads for graph construction + encoder passes. 0 draws
-  /// on the process-wide `util::SharedPool()` instead of creating a
-  /// private pool — the right choice when an engine coexists with
-  /// training or other engines in one process (no oversubscription).
+  /// Worker threads for graph construction + encoder passes; async
+  /// batch leaders also run on them. A cold batch builds on every
+  /// worker at once, the async leader's included. 0 draws on the
+  /// process-wide `util::SharedPool()` instead of creating a private
+  /// pool — the right choice when an engine coexists with training or
+  /// other engines in one process (no oversubscription).
   int num_threads = 2;
   /// Injected worker pool (non-owning; must outlive the engine). When
   /// set, `num_threads` is ignored and no private pool is created.

@@ -105,6 +105,7 @@ bool FaultInjector::ShouldFail(const std::string& point) {
     std::lock_guard<std::mutex> lock(mu_);
     PointState& state = points_[point];
     ++state.hits;
+    ++total_hits_[point];
     latency = state.latency_seconds;
     switch (state.mode) {
       case PointState::Mode::kNone:
@@ -139,6 +140,12 @@ int FaultInjector::HitCount(const std::string& point) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = points_.find(point);
   return it == points_.end() ? 0 : it->second.hits;
+}
+
+uint64_t FaultInjector::TotalHits(const std::string& point) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = total_hits_.find(point);
+  return it == total_hits_.end() ? 0 : it->second;
 }
 
 const std::vector<std::string>& AtomicFileWriter::FaultPoints() {

@@ -105,6 +105,11 @@ class FaultInjector {
   /// Number of times `point` was hit since the last Disarm/DisarmAll.
   int HitCount(const std::string& point) const;
 
+  /// Number of times `point` was hit since process start. Unlike
+  /// HitCount, no Disarm/DisarmAll resets it, so it bounds the verdicts
+  /// observed while other threads re-arm and disarm the point.
+  uint64_t TotalHits(const std::string& point) const;
+
  private:
   FaultInjector() = default;
 
@@ -121,6 +126,7 @@ class FaultInjector {
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, PointState> points_;
+  std::unordered_map<std::string, uint64_t> total_hits_;
 };
 
 /// \brief Writes a file atomically: content goes to a uniquely named

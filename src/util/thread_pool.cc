@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -89,47 +90,53 @@ bool ThreadPool::InWorkerThread() { return t_in_pool_worker; }
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
   if (n == 0) return;
-  // A worker calling back into its own (or any) pool must not block on
-  // pool capacity — every worker could end up waiting for tasks only
-  // the waiting workers themselves would run. Degrade to serial.
-  if (t_in_pool_worker) {
-    for (size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  const size_t chunks = std::min(n, std::max<size_t>(workers_.size(), 1) * 4);
-  const size_t chunk_size = (n + chunks - 1) / chunks;
-
-  // Per-call completion latch: on a shared pool, Wait() would also
-  // block on unrelated submitters' tasks. Only this call's chunks are
-  // counted here.
-  struct Latch {
+  // Iterations are claimed one at a time from a shared counter, so a
+  // slow iteration never strands a pre-assigned chunk behind it. The
+  // state is heap-shared with the helper tasks: a helper that is still
+  // queued when the call returns finds the counter exhausted, never
+  // dereferences `body`, and only then drops its reference.
+  struct State {
+    std::atomic<size_t> next{0};
+    size_t n = 0;
+    const std::function<void(size_t)>* body = nullptr;
     std::mutex mu;
     std::condition_variable cv;
-    size_t remaining = 0;
-  } latch;
+    size_t done = 0;
+  };
+  auto state = std::make_shared<State>();
+  state->n = n;
+  state->body = &body;
+  auto drain = [](State& s) {
+    size_t ran = 0;
+    for (;;) {
+      const size_t i = s.next.fetch_add(1);
+      if (i >= s.n) break;
+      (*s.body)(i);
+      ++ran;
+    }
+    if (ran == 0) return;
+    std::unique_lock<std::mutex> lock(s.mu);
+    s.done += ran;
+    if (s.done == s.n) s.cv.notify_all();
+  };
 
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t begin = c * chunk_size;
-    const size_t end = std::min(n, begin + chunk_size);
-    if (begin >= end) break;
-    {
-      std::unique_lock<std::mutex> lock(latch.mu);
-      ++latch.remaining;
-    }
-    const bool accepted = Submit([begin, end, &body, &latch] {
-      for (size_t i = begin; i < end; ++i) body(i);
-      std::unique_lock<std::mutex> lock(latch.mu);
-      if (--latch.remaining == 0) latch.cv.notify_all();
-    });
-    if (!accepted) {
-      // Pool already shut down: degrade to inline execution.
-      for (size_t i = begin; i < end; ++i) body(i);
-      std::unique_lock<std::mutex> lock(latch.mu);
-      --latch.remaining;
-    }
+  // A worker caller takes iterations itself and so needs one helper
+  // fewer. It drains the counter before waiting, so it only ever waits
+  // on iterations already running on other threads — never on a task
+  // queued behind it — and a nested call cannot deadlock. An external
+  // caller only waits, keeping bodies on pool workers.
+  const bool caller_helps = t_in_pool_worker;
+  const size_t helpers =
+      std::min(caller_helps ? n - 1 : n, workers_.size());
+  size_t accepted = 0;
+  for (size_t h = 0; h < helpers; ++h) {
+    if (!Submit([state, drain] { drain(*state); })) break;
+    ++accepted;
   }
-  std::unique_lock<std::mutex> lock(latch.mu);
-  latch.cv.wait(lock, [&latch] { return latch.remaining == 0; });
+  // A shut-down pool accepts no helper: the caller runs every iteration.
+  if (caller_helps || accepted == 0) drain(*state);
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->cv.wait(lock, [&state] { return state->done == state->n; });
 }
 
 void ThreadPool::WorkerLoop() {

@@ -56,22 +56,33 @@ class ThreadPool {
   /// backlog gauge for serving metrics.
   size_t in_flight() const;
 
-  /// Runs `body(i)` for i in [0, n), distributing contiguous chunks
-  /// over the pool, and blocks until all iterations complete. The body
-  /// must be safe to invoke concurrently for distinct indices.
+  /// Runs `body(i)` for i in [0, n) and blocks until all iterations
+  /// complete. The body must be safe to invoke concurrently for
+  /// distinct indices. Iterations are handed out one at a time from a
+  /// shared counter, so uneven iterations balance across threads.
+  ///
+  /// Who runs the bodies depends on the caller:
+  ///  * An external thread submits min(n, num_threads()) helper tasks
+  ///    and only waits — its bodies run on pool workers alone.
+  ///  * A pool worker (of any pool; see InWorkerThread) submits
+  ///    min(n - 1, num_threads()) helpers and claims iterations itself
+  ///    alongside them. It waits only after the counter is exhausted,
+  ///    i.e. only on iterations already running on other threads, so a
+  ///    nested call cannot deadlock however busy the pool is. A helper
+  ///    that starts after the call returned finds nothing to claim and
+  ///    exits without touching `body`.
+  ///  * On a shut-down pool no helper is accepted and the caller runs
+  ///    every iteration inline.
   ///
   /// Completion is tracked per call (not via pool-wide Wait), so
   /// concurrent ParallelFor calls on one shared pool never block on
-  /// each other's unrelated work. When invoked from inside one of this
-  /// pool's own workers, or on a shut-down pool, the iterations run
-  /// inline on the calling thread — nested data parallelism degrades
-  /// to serial instead of deadlocking.
+  /// each other's unrelated work.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
   /// True when the calling thread is a worker of *any* ThreadPool.
-  /// Lets nested parallel regions (e.g. a large GEMM reached from a
-  /// training worker) fall back to serial execution instead of
-  /// submitting to — and then waiting on — an already-busy pool.
+  /// Code that parallelizes internally (e.g. a large GEMM) checks it to
+  /// stay serial inside a worker that is already one lane of an outer
+  /// parallel region: fanning out again would oversubscribe the cores.
   static bool InWorkerThread();
 
  private:

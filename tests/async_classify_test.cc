@@ -12,8 +12,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -83,8 +85,8 @@ class AsyncClassifyTest : public ::testing::Test {
   }
 
   static std::unique_ptr<InferenceEngine> MakeEngine(
-      serve::InferenceEngineOptions options = {}) {
-    options.num_threads = 2;
+      serve::InferenceEngineOptions options = {}, int num_threads = 2) {
+    options.num_threads = num_threads;
     auto engine = InferenceEngine::Create(
         classifier_, &simulator_->ledger(), std::move(options));
     EXPECT_TRUE(engine.ok()) << engine.status().message();
@@ -277,6 +279,74 @@ TEST_F(AsyncClassifyTest, AsyncAndBlockingCallersAgreeWithSerialRerun) {
     EXPECT_EQ(b.predicted, PredictAtEpoch(address, b.tx_count))
         << "blocking answer diverged from serial re-run, address "
         << address;
+  }
+}
+
+TEST_F(AsyncClassifyTest, AsyncColdBurstIsIdenticalAcrossPoolSizes) {
+  // Every labeled address, training ones included, is cold to a fresh
+  // engine. A burst of async submits makes the batch leader a pool
+  // task, so its cold batches fan out with the leader taking work units
+  // itself — whatever the pool size, answers and cached slice
+  // embeddings must be bit-identical.
+  const std::vector<datagen::LabeledAddress> labeled =
+      simulator_->CollectLabeledAddresses(3);
+  const size_t n = std::min<size_t>(labeled.size(), 40);
+  ASSERT_GE(n, 32u);
+  const chain::Ledger& ledger = simulator_->ledger();
+  std::vector<int> truth(n);
+  for (size_t i = 0; i < n; ++i) {
+    truth[i] = PredictAtEpoch(labeled[i].address,
+                              ledger.TxCountOf(labeled[i].address));
+  }
+
+  std::string reference_cache;
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    const std::string cache_path = ::testing::TempDir() +
+                                   "ba_async_cold_burst_" +
+                                   std::to_string(threads);
+    std::remove(cache_path.c_str());
+    serve::InferenceEngineOptions options;
+    options.cache_path = cache_path;
+    auto engine = MakeEngine(options, threads);
+
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t done = 0;
+    std::vector<Result<ClassifyResult>> results(
+        n, Result<ClassifyResult>(Status::Internal("not yet delivered")));
+    for (size_t i = 0; i < n; ++i) {
+      engine->ClassifyAsync(labeled[i].address, {},
+                            [&, i](Result<ClassifyResult> outcome,
+                                   const serve::RequestTimeline&) {
+                              std::lock_guard<std::mutex> lock(mu);
+                              results[i] = std::move(outcome);
+                              ++done;
+                              cv.notify_all();
+                            });
+    }
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(120),
+                              [&] { return done == n; }));
+    }
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(results[i].ok()) << results[i].status().message();
+      EXPECT_FALSE(results[i].value().cache_hit);
+      EXPECT_EQ(results[i].value().predicted, truth[i])
+          << "address " << labeled[i].address;
+    }
+
+    ASSERT_TRUE(engine->SaveCache().ok());
+    auto bytes = util::ReadFileToString(cache_path);
+    std::remove(cache_path.c_str());
+    ASSERT_TRUE(bytes.ok()) << bytes.status().message();
+    if (reference_cache.empty()) {
+      reference_cache = bytes.value();
+    } else {
+      EXPECT_TRUE(bytes.value() == reference_cache)
+          << "cached slice embeddings differ from the 1-thread pool";
+    }
   }
 }
 

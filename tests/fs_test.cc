@@ -248,6 +248,20 @@ TEST(FaultInjectorTest, LatencyComposesWithFailureModes) {
   EXPECT_EQ(injector.HitCount("test.slow"), 1);
 }
 
+TEST(FaultInjectorTest, TotalHitsSurvivesDisarm) {
+  FaultGuard guard;
+  auto& injector = FaultInjector::Instance();
+  const uint64_t before = injector.TotalHits("test.total");
+  injector.Arm("test.total");
+  EXPECT_TRUE(injector.ShouldFail("test.total"));
+  injector.Disarm("test.total");
+  EXPECT_FALSE(injector.ShouldFail("test.total"));
+  injector.DisarmAll();
+  EXPECT_FALSE(injector.ShouldFail("test.total"));
+  EXPECT_EQ(injector.HitCount("test.total"), 1);
+  EXPECT_EQ(injector.TotalHits("test.total") - before, 3u);
+}
+
 // Regression: with one shared `<path>.tmp` scratch name, a second
 // writer's Open truncated the first writer's half-written scratch and
 // a racing Commit could rename torn bytes over the destination. Unique

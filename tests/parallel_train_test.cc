@@ -3,8 +3,8 @@
 // on: any lane count must reproduce the serial run bit-exactly —
 // per-epoch losses and final parameters — because gradients are
 // reduced in fixed example order regardless of which lane computed
-// them. Also covers ThreadPool::InWorkerThread, nested-ParallelFor
-// degradation, and the shared-pool accessor.
+// them. Also covers ThreadPool::InWorkerThread, nested ParallelFor on
+// a busy pool, and the shared-pool accessor.
 
 #include <gtest/gtest.h>
 
@@ -54,12 +54,13 @@ TEST(ThreadPoolTest, InWorkerThreadDistinguishesPoolWorkers) {
   EXPECT_FALSE(ThreadPool::InWorkerThread());
 }
 
-TEST(ThreadPoolTest, NestedParallelForRunsInlineInsteadOfDeadlocking) {
+TEST(ThreadPoolTest, NestedParallelForOnBusyPoolDoesNotDeadlock) {
   ThreadPool pool(2);
   std::atomic<int> total{0};
-  // Outer iterations occupy workers; the inner ParallelFor from inside
-  // a worker must degrade to inline execution rather than queueing
-  // behind (and waiting on) its own busy pool.
+  // Outer iterations occupy every worker; each inner ParallelFor from
+  // inside a worker queues helpers nobody is free to run, so the
+  // calling worker must drain its own iterations rather than wait on
+  // them.
   pool.ParallelFor(4, [&](size_t) {
     pool.ParallelFor(5, [&](size_t) { total.fetch_add(1); });
   });
@@ -69,7 +70,7 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineInsteadOfDeadlocking) {
 TEST(ThreadPoolTest, ConcurrentParallelForCallsDoNotCrossBlock) {
   ThreadPool shared(2);
   std::atomic<int> total{0};
-  // Two plain threads (not pool workers, so no inline fallback) drive
+  // Two plain threads (not pool workers, so they only wait) drive
   // ParallelFor on the same pool at once; per-call completion tracking
   // means each returns when its own iterations are done, never blocking
   // on the other caller's work.

@@ -6,8 +6,13 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "util/cli.h"
 #include "util/retry.h"
@@ -365,6 +370,138 @@ TEST(ThreadPoolTest, ParallelForRunsInlineAfterShutdown) {
   std::vector<int> hits(10, 0);  // plain ints: iterations run inline
   pool.ParallelFor(hits.size(), [&hits](size_t i) { hits[i] += 1; });
   for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+/// A count-down latch whose Wait gives up after a generous safety
+/// timeout, so a pool that fails to run work concurrently fails the
+/// test instead of hanging it. Wait returns false on timeout.
+class Latch {
+ public:
+  explicit Latch(int count) : count_(count) {}
+  void CountDown() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--count_ <= 0) cv_.notify_all();
+  }
+  bool Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(30),
+                        [this] { return count_ <= 0; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int count_;
+};
+
+TEST(ThreadPoolTest, NestedParallelForFromWorkerRunsOnTwoThreads) {
+  ThreadPool pool(2);
+  // Each iteration waits until both have started: only a second thread
+  // taking an iteration alongside the calling worker can release them.
+  Latch both_started(2);
+  Latch finished(1);
+  std::atomic<int> released{0};
+  std::mutex ids_mu;
+  std::set<std::thread::id> ids;
+  ASSERT_TRUE(pool.Submit([&] {
+    pool.ParallelFor(2, [&](size_t) {
+      {
+        std::lock_guard<std::mutex> lock(ids_mu);
+        ids.insert(std::this_thread::get_id());
+      }
+      both_started.CountDown();
+      if (both_started.Wait()) released.fetch_add(1);
+    });
+    finished.CountDown();
+  }));
+  ASSERT_TRUE(finished.Wait());
+  EXPECT_EQ(released.load(), 2);
+  EXPECT_EQ(ids.size(), 2u);
+}
+
+TEST(ThreadPoolTest, WorkerCallerReturnsWhileHelperQueuedBehindBlockedWorker) {
+  ThreadPool pool(2);
+  Latch blocker_running(1);
+  Latch unblock(1);
+  Latch caller_done(1);
+  ASSERT_TRUE(pool.Submit([&] {
+    blocker_running.CountDown();
+    unblock.Wait();
+  }));
+  ASSERT_TRUE(blocker_running.Wait());
+  std::atomic<int> runs{0};
+  size_t backlog_at_return = 0;
+  ASSERT_TRUE(pool.Submit([&] {
+    {
+      const std::function<void(size_t)> body = [&runs](size_t) {
+        runs.fetch_add(1);
+      };
+      pool.ParallelFor(3, body);
+    }  // `body` is gone: a late helper that touched it would trip ASan.
+    backlog_at_return = pool.in_flight();
+    caller_done.CountDown();
+  }));
+  ASSERT_TRUE(caller_done.Wait());
+  // The other worker is blocked, so the caller ran all three iterations
+  // itself and returned with both helpers still queued: blocker + this
+  // task + two helpers.
+  EXPECT_EQ(backlog_at_return, 4u);
+  EXPECT_EQ(runs.load(), 3);
+  unblock.CountDown();
+  pool.Wait();  // the late helpers have now run — and done nothing
+  EXPECT_EQ(runs.load(), 3);
+}
+
+TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
+  constexpr size_t kOuter = 3;
+  for (size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    for (size_t n : {1u, 2u, 7u, 257u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " n=" + std::to_string(n));
+      std::vector<std::atomic<int>> flat(n);
+      pool.ParallelFor(n, [&](size_t i) { flat[i].fetch_add(1); });
+      for (auto& h : flat) EXPECT_EQ(h.load(), 1);
+
+      // Nested: every outer iteration (on a worker) runs a full inner
+      // loop on the same pool.
+      std::vector<std::atomic<int>> nested(kOuter * n);
+      pool.ParallelFor(kOuter, [&](size_t o) {
+        pool.ParallelFor(n, [&](size_t i) { nested[o * n + i].fetch_add(1); });
+      });
+      for (auto& h : nested) EXPECT_EQ(h.load(), 1);
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ShutDownPoolRunsEveryIterationOnTheCaller) {
+  ThreadPool dead(2);
+  dead.Shutdown();
+  auto run_on_dead = [&dead](int* runs, int* off_caller) {
+    const std::thread::id caller = std::this_thread::get_id();
+    dead.ParallelFor(7, [&](size_t) {
+      ++*runs;
+      if (std::this_thread::get_id() != caller) ++*off_caller;
+    });
+  };
+  int runs = 0;
+  int off_caller = 0;
+  run_on_dead(&runs, &off_caller);
+  EXPECT_EQ(runs, 7);
+  EXPECT_EQ(off_caller, 0);
+
+  // Same from a worker of another pool (the helping-caller path).
+  ThreadPool live(1);
+  Latch done(1);
+  int worker_runs = 0;
+  int worker_off_caller = 0;
+  ASSERT_TRUE(live.Submit([&] {
+    run_on_dead(&worker_runs, &worker_off_caller);
+    done.CountDown();
+  }));
+  ASSERT_TRUE(done.Wait());
+  EXPECT_EQ(worker_runs, 7);
+  EXPECT_EQ(worker_off_caller, 0);
 }
 
 TEST(TablePrinterTest, RendersAlignedRows) {
