@@ -80,6 +80,30 @@ require_test_binaries() {
   fi
 }
 
+# Configures a TSan build in $1, builds only the tests named in $2 (a
+# space-separated list), fails if any of them did not build, then runs
+# each in turn.
+run_tsan_tests() {
+  local build_dir="$1"
+  local tests="$2"
+  cmake -B "$build_dir" -S . \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DBA_SANITIZE=thread \
+    -DBA_BUILD_BENCHMARKS=OFF \
+    -DBA_BUILD_EXAMPLES=OFF
+  # shellcheck disable=SC2086
+  cmake --build "$build_dir" -j "$(nproc)" --target $tests
+  for t in $tests; do
+    if [ ! -x "$build_dir/tests/$t" ]; then
+      echo "check.sh: MISSING TEST BINARY: $build_dir/tests/$t" >&2
+      exit 1
+    fi
+  done
+  for t in $tests; do
+    "$build_dir/tests/$t"
+  done
+}
+
 case "$MODE" in
   address)
     BUILD_DIR="${2:-build-sanitize}"
@@ -93,46 +117,12 @@ case "$MODE" in
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
     ;;
   thread)
-    BUILD_DIR="${2:-build-tsan}"
-    cmake -B "$BUILD_DIR" -S . \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DBA_SANITIZE=thread \
-      -DBA_BUILD_BENCHMARKS=OFF \
-      -DBA_BUILD_EXAMPLES=OFF
     TSAN_TESTS="serve_test sharded_serve_test snapshot_test util_test obs_test parallel_train_test resilience_test chaos_test protocol_test net_test async_classify_test graph_builder_test"
-    # shellcheck disable=SC2086
-    cmake --build "$BUILD_DIR" -j "$(nproc)" \
-      --target $TSAN_TESTS
-    for t in $TSAN_TESTS; do
-      if [ ! -x "$BUILD_DIR/tests/$t" ]; then
-        echo "check.sh: MISSING TEST BINARY: $BUILD_DIR/tests/$t" >&2
-        exit 1
-      fi
-    done
-    for t in $TSAN_TESTS; do
-      "$BUILD_DIR/tests/$t"
-    done
+    run_tsan_tests "${2:-build-tsan}" "$TSAN_TESTS"
     ;;
   chaos)
-    BUILD_DIR="${2:-build-tsan}"
-    cmake -B "$BUILD_DIR" -S . \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DBA_SANITIZE=thread \
-      -DBA_BUILD_BENCHMARKS=OFF \
-      -DBA_BUILD_EXAMPLES=OFF
     CHAOS_TESTS="chaos_test resilience_test fs_test"
-    # shellcheck disable=SC2086
-    cmake --build "$BUILD_DIR" -j "$(nproc)" \
-      --target $CHAOS_TESTS
-    for t in $CHAOS_TESTS; do
-      if [ ! -x "$BUILD_DIR/tests/$t" ]; then
-        echo "check.sh: MISSING TEST BINARY: $BUILD_DIR/tests/$t" >&2
-        exit 1
-      fi
-    done
-    for t in $CHAOS_TESTS; do
-      "$BUILD_DIR/tests/$t"
-    done
+    run_tsan_tests "${2:-build-tsan}" "$CHAOS_TESTS"
     ;;
   trace)
     BUILD_DIR="${2:-build}"

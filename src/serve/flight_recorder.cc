@@ -32,27 +32,26 @@ std::vector<FlightRecorder::Entry> FlightRecorder::Snapshot(
   std::vector<Entry> entries;
   // The collection loop visits every slot regardless of max_entries, so
   // reserve for the worst case — reserving min(capacity, max_entries)
-  // would just reallocate mid-loop on a full ring. Only the top
-  // max_entries by seq are wanted; partial_sort stops ordering there
-  // instead of fully sorting all `capacity_` entries for an admin query
-  // that asked for 32.
+  // would just reallocate mid-loop on a full ring.
   entries.reserve(capacity_);
   for (size_t i = 0; i < capacity_; ++i) {
     const Slot& slot = slots_[i];
     std::lock_guard<std::mutex> lock(slot.mu);
     if (slot.filled) entries.push_back(slot.entry);
   }
+  // Only the newest max_entries are ordered. The ring yields entries in
+  // ascending seq order, partial_sort's worst case (every entry would
+  // displace its heap top); nth_element selects them in linear time,
+  // so a truncated snapshot never costs more than sorting the full one.
   const auto newer = [](const Entry& a, const Entry& b) {
     return a.seq > b.seq;
   };
-  if (entries.size() > max_entries) {
-    std::partial_sort(entries.begin(),
-                      entries.begin() + static_cast<ptrdiff_t>(max_entries),
-                      entries.end(), newer);
-    entries.resize(max_entries);
-  } else {
-    std::sort(entries.begin(), entries.end(), newer);
-  }
+  const auto top_end =
+      entries.begin() +
+      static_cast<ptrdiff_t>(std::min(max_entries, entries.size()));
+  std::nth_element(entries.begin(), top_end, entries.end(), newer);
+  std::sort(entries.begin(), top_end, newer);
+  entries.erase(top_end, entries.end());
   return entries;
 }
 

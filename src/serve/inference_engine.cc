@@ -77,6 +77,42 @@ RequestOutcome OutcomeOfStatus(const Status& status) {
 
 using SteadyClock = std::chrono::steady_clock;
 
+Status ExpiredStatus(const char* where) {
+  return Status::DeadlineExceeded(
+      std::string("InferenceEngine: deadline expired ") + where);
+}
+
+/// Calls `f` on every request of a batch, or of a batch's work units.
+template <typename Req, typename F>
+void ForEachRequest(const std::vector<Req*>& batch, F f) {
+  for (Req* req : batch) f(req);
+}
+template <typename Unit, typename F>
+void ForEachRequest(const std::vector<Unit>& work, F f) {
+  for (const Unit& w : work) {
+    for (auto* req : w.reqs) f(req);
+  }
+}
+
+/// Stamps one timeline `field` on every request in `reqs` — one clock
+/// read for the whole stage.
+template <typename Reqs>
+void StampAll(const Reqs& reqs, int64_t RequestTimeline::*field) {
+  const auto now = SteadyClock::now();
+  ForEachRequest(reqs, [&](auto* req) {
+    req->tl.*field = req->SinceSubmitNs(now);
+  });
+}
+
+/// Fails every request in `reqs` with the injected error of fault
+/// point `point`: an explicit error, never a hang or a wrong answer.
+template <typename Reqs>
+void FailAll(const char* point, const Reqs& reqs) {
+  const Status st =
+      Status::Internal(std::string("injected fault at ") + point);
+  ForEachRequest(reqs, [&](auto* req) { req->status = st; });
+}
+
 }  // namespace
 
 const char* PrecisionName(Precision p) {
@@ -213,53 +249,77 @@ uint64_t InferenceEngine::TxCountOf(const chain::LedgerSnapshot& snapshot,
   return static_cast<uint64_t>(std::min(total, cap));
 }
 
-Result<ClassifyResult> InferenceEngine::TryDegradedAnswer(
-    chain::AddressId address, const Status& why, CacheMode cache_mode) {
-  const chain::LedgerSnapshot snapshot = ledger_->Snapshot();
-  const uint64_t n = TxCountOf(snapshot, address);
-  if (n == 0) {
-    // The empty-history answer is free and exact — no need to degrade.
-    ClassifyResult r;
-    r.predicted = 0;
-    r.tx_count = 0;
-    stats_.empty_history.Increment();
-    return r;
+Status InferenceEngine::Decide(chain::AddressId address, uint64_t n,
+                               const std::optional<Answer>& held,
+                               bool allow_degraded, const Status& why,
+                               ClassifyResult* out) {
+  const bool late = !why.ok();
+  if (allow_degraded || !late) {
+    if (held.has_value()) {
+      out->predicted = held->predicted;
+      out->cache_hit = !held->fresh;
+      out->tx_count = held->tx_count;
+      out->slices_reused = held->slices_reused;
+      out->slices_built = held->slices_built;
+      out->epoch_lag = n - held->tx_count;
+      if (held->tx_count < n) {
+        out->degraded = true;
+        stats_.degraded_stale.Increment();
+        DegradedStaleCounter()->Increment();
+      } else if (!held->fresh) {
+        // Exact at this epoch: a full hit, not a degraded answer.
+        stats_.full_hits.Increment();
+        stats_.slices_reused.Increment(
+            static_cast<uint64_t>(held->slices_reused));
+      } else if (late) {
+        out->degraded = true;
+        stats_.degraded_late.Increment();
+        DegradedLateCounter()->Increment();
+      }
+      return Status::OK();
+    }
+    if (late && options_.degraded_fallback) {
+      out->predicted = options_.degraded_fallback(address);
+      out->tx_count = n;
+      out->degraded = true;
+      out->epoch_lag = 0;
+      stats_.degraded_fallback.Increment();
+      DegradedFallbackCounter()->Increment();
+      return Status::OK();
+    }
   }
-  {
+  if (why.code() == StatusCode::kDeadlineExceeded) {
+    stats_.deadline_exceeded.Increment();
+  }
+  return why;
+}
+
+Result<ClassifyResult> InferenceEngine::AnswerAtSubmit(
+    chain::AddressId address, const ClassifyOptions& options,
+    const Status& why) {
+  ClassifyResult r;
+  uint64_t n = 0;
+  std::optional<Answer> held;
+  if (options.allow_degraded) {
+    n = TxCountOf(ledger_->Snapshot(), address);
+    if (n == 0) {
+      // The empty-history answer is free and exact — no need to degrade.
+      stats_.empty_history.Increment();
+      return r;
+    }
     std::unique_lock<std::mutex> lock(cache_mu_);
     auto it = cache_.find(address);
     if (it != cache_.end() && it->second.tx_count <= n) {
-      if (cache_mode != CacheMode::kNoPromote) {
+      if (options.cache_mode != CacheMode::kNoPromote) {
         it->second.last_used = ++lru_tick_;
       }
-      ClassifyResult r;
-      r.predicted = it->second.predicted;
-      r.cache_hit = true;
-      r.tx_count = it->second.tx_count;
-      r.slices_reused =
-          static_cast<int>(it->second.slice_embeddings.size());
-      r.epoch_lag = n - it->second.tx_count;
-      r.degraded = r.epoch_lag > 0;
-      if (r.degraded) {
-        stats_.degraded_stale.Increment();
-        DegradedStaleCounter()->Increment();
-      } else {
-        stats_.full_hits.Increment();
-      }
-      return r;
+      held = it->second.Held();
     }
   }
-  if (options_.degraded_fallback) {
-    ClassifyResult r;
-    r.predicted = options_.degraded_fallback(address);
-    r.tx_count = n;
-    r.degraded = true;
-    r.epoch_lag = 0;
-    stats_.degraded_fallback.Increment();
-    DegradedFallbackCounter()->Increment();
-    return r;
-  }
-  return why;
+  const Status st =
+      Decide(address, n, held, options.allow_degraded, why, &r);
+  if (!st.ok()) return st;
+  return r;
 }
 
 InferenceEngine::Request* InferenceEngine::MakeRequest(
@@ -285,10 +345,7 @@ InferenceEngine::Request* InferenceEngine::MakeRequest(
       stats_.shed.Increment();
       stats_.requests.Increment();
       DeliverEarly(address, submit, options,
-                   options.allow_degraded
-                       ? TryDegradedAnswer(address, st, options.cache_mode)
-                       : Result<ClassifyResult>(st),
-                   done);
+                   AnswerAtSubmit(address, options, st), done);
       return nullptr;
     }
     admitted = true;
@@ -298,13 +355,8 @@ InferenceEngine::Request* InferenceEngine::MakeRequest(
   // alone graph construction.
   if (options.has_deadline() && SteadyClock::now() >= options.deadline) {
     stats_.requests.Increment();
-    const Status expired = Status::DeadlineExceeded(
-        "InferenceEngine: deadline expired at submit");
-    Result<ClassifyResult> r =
-        options.allow_degraded
-            ? TryDegradedAnswer(address, expired, options.cache_mode)
-            : Result<ClassifyResult>(expired);
-    if (!r.ok()) stats_.deadline_exceeded.Increment();
+    Result<ClassifyResult> r = AnswerAtSubmit(
+        address, options, ExpiredStatus("at submit"));
     if (admitted) admission_->Release();
     DeliverEarly(address, submit, options, std::move(r), done);
     return nullptr;
@@ -531,141 +583,74 @@ void InferenceEngine::ProcessBatch(const std::vector<Request*>& batch) {
   Stopwatch batch_sw;
   batch_sw.Start();
   stats_.batches.Increment();
-  util::FaultInjector& faults = util::FaultInjector::Instance();
-
   // The whole micro-batch reads one pinned epoch (O(1) to capture), so
   // its results are mutually consistent and immune to a SealBlock /
   // ApplyTransaction racing the batch.
   const chain::LedgerSnapshot snapshot = ledger_->Snapshot();
-
-  // Answers `req` from a stale prediction computed at `stale_tx_count`
-  // over `stale_slices` cached slice embeddings, labeled degraded with
-  // its epoch lag against `now_tx_count`. Sets exactly the fields the
-  // degraded-answer contract (protocol.h, ClassifyResult) promises for
-  // a stale answer — matching TryDegradedAnswer's stale path, which
-  // serves the same answer from the submit fast paths.
-  auto answer_stale = [this](Request* req, int predicted,
-                             uint64_t stale_tx_count, uint64_t now_tx_count,
-                             int stale_slices) {
-    req->result.predicted = predicted;
-    req->result.cache_hit = true;
-    req->result.tx_count = stale_tx_count;
-    req->result.degraded = true;
-    req->result.epoch_lag = now_tx_count - stale_tx_count;
-    req->result.slices_reused = stale_slices;
-    stats_.degraded_stale.Increment();
-    DegradedStaleCounter()->Increment();
-  };
-  auto reject_deadline = [this](Request* req, const char* where) {
-    req->status = Status::DeadlineExceeded(
-        std::string("InferenceEngine: deadline expired ") + where);
-    stats_.deadline_exceeded.Increment();
-  };
-
-  // A lookup-stage fault decides the whole batch: every request gets an
-  // explicit injected error — never a hang, never a wrong answer.
-  if (faults.ShouldFail(kFaultBatchLookup)) {
-    const Status st = Status::Internal(std::string("injected fault at ") +
-                                       kFaultBatchLookup);
-    for (Request* req : batch) req->status = st;
-    batch_sw.Stop();
-    stats_.batch_latency.Record(batch_sw.ElapsedSeconds());
-    return;
+  // Each stage boundary consults its fault point once per batch; a
+  // lookup fault decides the whole batch.
+  if (util::FaultInjector::Instance().ShouldFail(kFaultBatchLookup)) {
+    FailAll(kFaultBatchLookup, batch);
+  } else {
+    std::vector<Work> work = LookupStage(snapshot, batch);
+    BuildEmbedStage(snapshot, &work);
+    AggregateStage(&work);
   }
+  batch_sw.Stop();
+  stats_.batch_latency.Record(batch_sw.ElapsedSeconds());
+  backlog_gauge_->Set(static_cast<int64_t>(pool_->in_flight()));
+  queue_depth_gauge_->Set(queue_depth_.load(std::memory_order_relaxed));
+}
 
-  // Stage 1 — cache lookup (serial, one short critical section).
-  // Duplicate addresses within the batch coalesce onto one Work unit —
-  // N monitoring clients polling the same address cost one computation.
-  // Requests already past deadline are decided here, before any graph
-  // construction: stale cached answer (allow_degraded), fallback
-  // (queued for after the lock), or DeadlineExceeded.
-  struct Work {
-    std::vector<Request*> reqs;
-    chain::AddressId address = chain::kInvalidAddress;
-    uint64_t tx_count = 0;
-    int reuse_slices = 0;
-    int built = 0;
-    /// Reused complete-slice embeddings; workers append the rebuilt
-    /// tail behind them.
-    std::vector<std::vector<float>> rows;
-    /// Stale prediction stashed at lookup, answering any member whose
-    /// deadline expires at a later stage boundary.
-    bool has_stale = false;
-    int stale_predicted = 0;
-    uint64_t stale_tx_count = 0;
-    int stale_slices = 0;
-    /// True only while every requester is router-flagged sweep
-    /// traffic; one normal requester earns the result a cache slot.
-    bool no_promote = true;
-  };
+std::vector<InferenceEngine::Work> InferenceEngine::LookupStage(
+    const chain::LedgerSnapshot& snapshot,
+    const std::vector<Request*>& batch) {
+  // One short critical section for the batch. Duplicate addresses
+  // coalesce onto one Work unit — N monitoring clients polling the
+  // same address cost one computation. Requests already past deadline
+  // are decided here, before any graph construction.
+  BA_TRACE_SPAN("serve.batch.lookup");
   std::vector<Work> work;
   work.reserve(batch.size());
   std::unordered_map<chain::AddressId, size_t> work_index;
-  std::vector<Request*> fallback_pending;
   {
-    BA_TRACE_SPAN("serve.batch.lookup");
     std::unique_lock<std::mutex> lock(cache_mu_);
     for (Request* req : batch) {
       const uint64_t n = TxCountOf(snapshot, req->address);
       if (n == 0) {
-        // Free and exact regardless of deadline or overload.
-        req->result.predicted = 0;
-        req->result.tx_count = 0;
+        // The default result (class 0 at tx_count 0) is free and exact
+        // regardless of deadline or overload.
         stats_.empty_history.Increment();
         continue;
       }
-      if (req->expired(SteadyClock::now())) {
-        if (!req->allow_degraded) {
-          reject_deadline(req, "at cache lookup");
+      const bool expired = req->expired(SteadyClock::now());
+      if (!expired) {
+        auto dup = work_index.find(req->address);
+        if (dup != work_index.end()) {
+          Work& shared = work[dup->second];
+          shared.reqs.push_back(req);
+          shared.no_promote =
+              shared.no_promote && req->cache_mode == CacheMode::kNoPromote;
+          stats_.coalesced.Increment();
           continue;
         }
-        auto it = cache_.find(req->address);
-        if (it != cache_.end() && it->second.tx_count <= n) {
-          if (req->cache_mode != CacheMode::kNoPromote) {
-            it->second.last_used = ++lru_tick_;
-          }
-          if (it->second.tx_count == n) {
-            // Exact at this epoch: a full hit, not a degraded answer.
-            req->result.predicted = it->second.predicted;
-            req->result.cache_hit = true;
-            req->result.tx_count = n;
-            req->result.slices_reused =
-                static_cast<int>(it->second.slice_embeddings.size());
-            stats_.full_hits.Increment();
-            stats_.slices_reused.Increment(
-                it->second.slice_embeddings.size());
-          } else {
-            answer_stale(req, it->second.predicted, it->second.tx_count, n,
-                         static_cast<int>(it->second.slice_embeddings.size()));
-          }
-        } else {
-          // Fallback hook runs outside the cache lock.
-          req->result.tx_count = n;
-          fallback_pending.push_back(req);
-        }
-        continue;
       }
-      auto dup = work_index.find(req->address);
-      if (dup != work_index.end()) {
-        Work& shared = work[dup->second];
-        shared.reqs.push_back(req);
-        shared.no_promote =
-            shared.no_promote && req->cache_mode == CacheMode::kNoPromote;
-        stats_.coalesced.Increment();
-        continue;
-      }
+      // An entry *ahead* of the live ledger can only mean the ledger
+      // was swapped out from under the cache; treat it as a plain miss.
       auto it = cache_.find(req->address);
-      if (it != cache_.end() && it->second.tx_count == n) {
-        if (req->cache_mode != CacheMode::kNoPromote) {
-          it->second.last_used = ++lru_tick_;
+      CacheEntry* entry =
+          it != cache_.end() && it->second.tx_count <= n ? &it->second
+                                                          : nullptr;
+      if (expired || (entry != nullptr && entry->tx_count == n)) {
+        req->decide_after_lookup = true;
+        req->live_tx_count = n;
+        if (expired) req->status = ExpiredStatus("at cache lookup");
+        if (entry != nullptr && (req->allow_degraded || !expired)) {
+          if (req->cache_mode != CacheMode::kNoPromote) {
+            entry->last_used = ++lru_tick_;
+          }
+          req->held = entry->Held();
         }
-        req->result.predicted = it->second.predicted;
-        req->result.cache_hit = true;
-        req->result.tx_count = n;
-        req->result.slices_reused =
-            static_cast<int>(it->second.slice_embeddings.size());
-        stats_.full_hits.Increment();
-        stats_.slices_reused.Increment(it->second.slice_embeddings.size());
         continue;
       }
       Work w;
@@ -673,221 +658,151 @@ void InferenceEngine::ProcessBatch(const std::vector<Request*>& batch) {
       w.address = req->address;
       w.tx_count = n;
       w.no_promote = req->cache_mode == CacheMode::kNoPromote;
-      // An entry computed at a shorter history can donate its complete
-      // slices — they are immutable on the append-only ledger. (An
-      // entry *ahead* of the live ledger can only mean the ledger was
-      // swapped out from under the cache; treat it as a plain miss.)
-      const int complete =
-          it == cache_.end() || it->second.tx_count > n
-              ? 0
-              : static_cast<int>(it->second.tx_count /
-                                 static_cast<uint64_t>(slice_size_));
-      if (it != cache_.end() && it->second.tx_count <= n) {
-        w.has_stale = true;
-        w.stale_predicted = it->second.predicted;
-        w.stale_tx_count = it->second.tx_count;
-        w.stale_slices =
-            static_cast<int>(it->second.slice_embeddings.size());
+      if (entry != nullptr) {
+        // The entry's complete slices are immutable on the append-only
+        // ledger: donate them, rebuild only the tail.
+        w.stale = entry->Held();
+        w.reuse_slices = static_cast<int>(
+            entry->tx_count / static_cast<uint64_t>(slice_size_));
+        w.rows.assign(entry->slice_embeddings.begin(),
+                      entry->slice_embeddings.begin() + w.reuse_slices);
       }
-      if (complete > 0) {
-        w.reuse_slices = complete;
-        w.rows.assign(it->second.slice_embeddings.begin(),
-                      it->second.slice_embeddings.begin() + complete);
-        stats_.partial_hits.Increment();
-      } else {
-        stats_.misses.Increment();
-      }
+      (w.reuse_slices > 0 ? stats_.partial_hits : stats_.misses).Increment();
       work_index.emplace(req->address, work.size());
       work.push_back(std::move(w));
     }
   }
-  {
-    // Lookup-stage stamp for every request still alive in the batch,
-    // including those decided here (hits, degraded, rejections) — one
-    // clock read for the batch.
-    const auto now = SteadyClock::now();
-    for (Request* req : batch) req->tl.lookup_ns = req->SinceSubmitNs(now);
+  // Stamped on every request, including those decided here — before
+  // the fallback hook, which runs outside the cache lock.
+  StampAll(batch, &RequestTimeline::lookup_ns);
+  for (Request* req : batch) {
+    if (!req->decide_after_lookup) continue;
+    req->status = Decide(req->address, req->live_tx_count, req->held,
+                         req->allow_degraded, req->status, &req->result);
   }
-  for (Request* req : fallback_pending) {
-    if (options_.degraded_fallback) {
-      req->result.predicted = options_.degraded_fallback(req->address);
-      req->result.degraded = true;
-      req->result.epoch_lag = 0;
-      stats_.degraded_fallback.Increment();
-      DegradedFallbackCounter()->Increment();
-    } else {
-      reject_deadline(req, "at cache lookup");
-    }
-  }
+  return work;
+}
 
-  // Stage boundary lookup -> build: the injected build fault (and any
-  // armed latency) lands here, then deadlines are re-checked so a
-  // request that expired while queued behind the lookup never pays for
-  // graph construction.
-  const bool build_fault = faults.ShouldFail(kFaultBatchBuild);
-  {
-    const auto now = SteadyClock::now();
-    std::vector<Request*> keep;
-    for (Work& w : work) {
-      keep.clear();
-      for (Request* req : w.reqs) {
-        if (!req->expired(now)) {
-          keep.push_back(req);
-          continue;
-        }
-        if (req->allow_degraded && w.has_stale) {
-          answer_stale(req, w.stale_predicted, w.stale_tx_count, w.tx_count,
-                       w.stale_slices);
-        } else if (req->allow_degraded && options_.degraded_fallback) {
-          req->result.predicted = options_.degraded_fallback(req->address);
-          req->result.tx_count = w.tx_count;
-          req->result.degraded = true;
-          req->result.epoch_lag = 0;
-          stats_.degraded_fallback.Increment();
-          DegradedFallbackCounter()->Increment();
-        } else {
-          reject_deadline(req, "before graph construction");
-        }
-      }
-      w.reqs.swap(keep);
-    }
-    // Units whose every requester was decided are dropped whole — no
-    // speculative graph work on behalf of nobody.
-    work.erase(std::remove_if(work.begin(), work.end(),
-                              [](const Work& w) { return w.reqs.empty(); }),
-               work.end());
+void InferenceEngine::BuildEmbedStage(const chain::LedgerSnapshot& snapshot,
+                                      std::vector<Work>* work) {
+  // The injected build fault (and any armed latency) lands first, then
+  // deadlines are re-checked, so a request that expired while queued
+  // behind the lookup never pays for graph construction. Units whose
+  // every requester was decided are dropped whole — no speculative
+  // graph work on behalf of nobody.
+  const bool build_fault =
+      util::FaultInjector::Instance().ShouldFail(kFaultBatchBuild);
+  const auto now = SteadyClock::now();
+  for (Work& w : *work) {
+    std::erase_if(w.reqs, [&](Request* req) {
+      if (!req->expired(now)) return false;
+      req->status = Decide(req->address, w.tx_count, w.stale,
+                           req->allow_degraded,
+                           ExpiredStatus("before graph construction"),
+                           &req->result);
+      return true;
+    });
   }
+  std::erase_if(*work, [](const Work& w) { return w.reqs.empty(); });
   if (build_fault) {
-    const Status st = Status::Internal(std::string("injected fault at ") +
-                                       kFaultBatchBuild);
-    for (Work& w : work) {
-      for (Request* req : w.reqs) req->status = st;
-    }
-    work.clear();
+    FailAll(kFaultBatchBuild, *work);
+    work->clear();
   }
+  if (work->empty()) return;
 
-  // Stage 2 — graph construction + encoder forward for the tail slices
-  // of every miss, fanned out over the pool (a leader running on a pool
-  // worker takes units itself). The classifier's inference paths are
-  // const and share frozen weights, so workers may embed concurrently.
-  // Units are claimed longest history first, so the last one to start
-  // is a short one; each writes only its own Work, and `work` keeps its
+  // Graph construction + encoder forward for the tail slices of every
+  // unit, fanned out over the pool (a leader running on a pool worker
+  // takes units itself). The classifier's inference paths are const
+  // and share frozen weights, so workers may embed concurrently. Units
+  // are claimed longest history first, so the last one to start is a
+  // short one; each writes only its own Work, and `work` keeps its
   // order for aggregation and cache refresh.
-  if (!work.empty()) {
-    BA_TRACE_SPAN("serve.batch.build_embed");
-    const core::GraphModel& model = classifier_->graph_model();
-    const bool int8 = options_.precision == Precision::kInt8;
-    std::vector<size_t> order(work.size());
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return work[a].tx_count > work[b].tx_count;
-    });
-    pool_->ParallelFor(work.size(), [&](size_t k) {
-      Work& w = work[order[k]];
-      core::GraphConstructor ctor(
-          classifier_->options().dataset.construction);
-      const std::vector<core::AddressGraph> graphs =
-          ctor.BuildGraphsFrom(snapshot, w.address, w.reuse_slices);
-      stats_.build_seconds.AddSeconds(ctor.timings().TotalSeconds());
-      Stopwatch embed_sw;
-      embed_sw.Start();
-      for (const core::AddressGraph& g : graphs) {
-        const core::GraphTensors gt = core::PrepareGraphTensors(g, k_hops_);
-        const tensor::Tensor e =
-            int8 ? model.EmbedQuantized(gt) : model.Embed(gt);
-        std::vector<float> row(static_cast<size_t>(embed_dim_));
+  BA_TRACE_SPAN("serve.batch.build_embed");
+  const core::GraphModel& model = classifier_->graph_model();
+  const bool int8 = options_.precision == Precision::kInt8;
+  std::vector<size_t> order(work->size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return (*work)[a].tx_count > (*work)[b].tx_count;
+  });
+  pool_->ParallelFor(work->size(), [&](size_t k) {
+    Work& w = (*work)[order[k]];
+    core::GraphConstructor ctor(classifier_->options().dataset.construction);
+    const std::vector<core::AddressGraph> graphs =
+        ctor.BuildGraphsFrom(snapshot, w.address, w.reuse_slices);
+    stats_.build_seconds.AddSeconds(ctor.timings().TotalSeconds());
+    Stopwatch embed_sw;
+    embed_sw.Start();
+    for (const core::AddressGraph& g : graphs) {
+      const core::GraphTensors gt = core::PrepareGraphTensors(g, k_hops_);
+      const tensor::Tensor e =
+          int8 ? model.EmbedQuantized(gt) : model.Embed(gt);
+      std::vector<float> row(static_cast<size_t>(embed_dim_));
+      for (int64_t j = 0; j < embed_dim_; ++j) {
+        row[static_cast<size_t>(j)] = e.at(0, j);
+      }
+      w.rows.push_back(std::move(row));
+      ++w.built;
+    }
+    embed_sw.Stop();
+    stats_.embed_seconds.AddSeconds(embed_sw.ElapsedSeconds());
+  });
+  StampAll(*work, &RequestTimeline::build_ns);
+}
+
+void InferenceEngine::AggregateStage(std::vector<Work>* work) {
+  if (!work->empty() &&
+      util::FaultInjector::Instance().ShouldFail(kFaultBatchAggregate)) {
+    FailAll(kFaultBatchAggregate, *work);
+    work->clear();
+  }
+  // Scale + aggregate each full embedding sequence, publish results and
+  // refresh the cache (serial; the LSTM head is tiny next to the
+  // build). A deadline that expired during the build still yields the
+  // fresh answer — labeled late when allowed, DeadlineExceeded
+  // otherwise — and the cache is refreshed either way: the work is
+  // done, future stale answers might as well benefit.
+  BA_TRACE_SPAN("serve.batch.aggregate");
+  Stopwatch agg_sw;
+  agg_sw.Start();
+  for (Work& w : *work) {
+    stats_.slices_built.Increment(static_cast<uint64_t>(w.built));
+    stats_.slices_reused.Increment(static_cast<uint64_t>(w.reuse_slices));
+    int predicted = 0;
+    if (!w.rows.empty()) {
+      std::vector<core::EmbeddingSequence> seqs(1);
+      seqs[0].embeddings =
+          tensor::Tensor({static_cast<int64_t>(w.rows.size()), embed_dim_});
+      for (size_t r = 0; r < w.rows.size(); ++r) {
         for (int64_t j = 0; j < embed_dim_; ++j) {
-          row[static_cast<size_t>(j)] = e.at(0, j);
+          seqs[0].embeddings.at(static_cast<int64_t>(r), j) =
+              w.rows[r][static_cast<size_t>(j)];
         }
-        w.rows.push_back(std::move(row));
-        ++w.built;
       }
-      embed_sw.Stop();
-      stats_.embed_seconds.AddSeconds(embed_sw.ElapsedSeconds());
-    });
-    const auto built = SteadyClock::now();
-    for (Work& w : work) {
-      for (Request* req : w.reqs) {
-        req->tl.build_ns = req->SinceSubmitNs(built);
-      }
+      classifier_->scaler().Apply(&seqs);
+      predicted = classifier_->aggregator().Predict(seqs[0].embeddings);
+    }
+    const std::optional<Answer> fresh =
+        Answer{w.tx_count, predicted, w.reuse_slices, w.built, true};
+    const auto now = SteadyClock::now();
+    for (Request* req : w.reqs) {
+      req->status =
+          Decide(req->address, w.tx_count, fresh, req->allow_degraded,
+                 req->expired(now) ? ExpiredStatus("during embedding")
+                                   : Status::OK(),
+                 &req->result);
+    }
+    if (!w.rows.empty()) {
+      CacheEntry entry;
+      entry.tx_count = w.tx_count;
+      entry.slice_embeddings = std::move(w.rows);
+      entry.predicted = predicted;
+      StoreEntry(w.address, std::move(entry), w.no_promote);
     }
   }
-
-  // Stage boundary build -> aggregate: injected aggregate fault.
-  if (!work.empty() && faults.ShouldFail(kFaultBatchAggregate)) {
-    const Status st = Status::Internal(std::string("injected fault at ") +
-                                       kFaultBatchAggregate);
-    for (Work& w : work) {
-      for (Request* req : w.reqs) req->status = st;
-    }
-    work.clear();
-  }
-
-  // Stage 3 — scale + aggregate each full embedding sequence, publish
-  // results and refresh the cache (serial; the LSTM head is tiny next
-  // to stage 2). A deadline that expired during the build still yields
-  // the freshly computed answer — labeled degraded (late) when allowed,
-  // DeadlineExceeded otherwise — and the cache is refreshed either way:
-  // the work is done, future stale answers might as well benefit.
-  {
-    BA_TRACE_SPAN("serve.batch.aggregate");
-    Stopwatch agg_sw;
-    agg_sw.Start();
-    for (Work& w : work) {
-      stats_.slices_built.Increment(static_cast<uint64_t>(w.built));
-      stats_.slices_reused.Increment(static_cast<uint64_t>(w.reuse_slices));
-      int predicted = 0;
-      if (!w.rows.empty()) {
-        std::vector<core::EmbeddingSequence> seqs(1);
-        seqs[0].embeddings = tensor::Tensor(
-            {static_cast<int64_t>(w.rows.size()), embed_dim_});
-        for (size_t r = 0; r < w.rows.size(); ++r) {
-          for (int64_t j = 0; j < embed_dim_; ++j) {
-            seqs[0].embeddings.at(static_cast<int64_t>(r), j) =
-                w.rows[r][static_cast<size_t>(j)];
-          }
-        }
-        classifier_->scaler().Apply(&seqs);
-        predicted = classifier_->aggregator().Predict(seqs[0].embeddings);
-      }
-      const auto now = SteadyClock::now();
-      for (Request* req : w.reqs) {
-        if (req->expired(now) && !req->allow_degraded) {
-          reject_deadline(req, "during embedding");
-          continue;
-        }
-        req->result.predicted = predicted;
-        req->result.slices_reused = w.reuse_slices;
-        req->result.slices_built = w.built;
-        req->result.tx_count = w.tx_count;
-        if (req->expired(now)) {
-          req->result.degraded = true;
-          req->result.epoch_lag = 0;
-          stats_.degraded_late.Increment();
-          DegradedLateCounter()->Increment();
-        }
-      }
-      if (!w.rows.empty()) {
-        CacheEntry entry;
-        entry.tx_count = w.tx_count;
-        entry.slice_embeddings = std::move(w.rows);
-        entry.predicted = predicted;
-        StoreEntry(w.address, std::move(entry), w.no_promote);
-      }
-    }
-    const auto aggregated = SteadyClock::now();
-    for (Work& w : work) {
-      for (Request* req : w.reqs) {
-        req->tl.aggregate_ns = req->SinceSubmitNs(aggregated);
-      }
-    }
-    agg_sw.Stop();
-    stats_.aggregate_seconds.AddSeconds(agg_sw.ElapsedSeconds());
-  }
-  batch_sw.Stop();
-  stats_.batch_latency.Record(batch_sw.ElapsedSeconds());
-  backlog_gauge_->Set(static_cast<int64_t>(pool_->in_flight()));
-  queue_depth_gauge_->Set(queue_depth_.load(std::memory_order_relaxed));
+  StampAll(*work, &RequestTimeline::aggregate_ns);
+  agg_sw.Stop();
+  stats_.aggregate_seconds.AddSeconds(agg_sw.ElapsedSeconds());
 }
 
 void InferenceEngine::StoreEntry(chain::AddressId address, CacheEntry entry,

@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -390,6 +391,16 @@ class InferenceEngine : public Engine {
   const Options& options() const { return options_; }
 
  private:
+  /// An answer the engine holds for an address without further work:
+  /// a cache entry, or the result its batch just built (`fresh`).
+  struct Answer {
+    uint64_t tx_count = 0;  ///< capped tx count it was computed at
+    int predicted = 0;
+    int slices_reused = 0;
+    int slices_built = 0;
+    bool fresh = false;
+  };
+
   struct CacheEntry {
     /// Transaction-history length the entry was computed at (after the
     /// max_txs_per_address cap).
@@ -400,6 +411,10 @@ class InferenceEngine : public Engine {
     std::vector<std::vector<float>> slice_embeddings;
     int predicted = 0;
     uint64_t last_used = 0;  ///< LRU tick
+
+    Answer Held() const {
+      return {tx_count, predicted, static_cast<int>(slice_embeddings.size())};
+    }
   };
 
   /// One in-flight request. Heap-allocated at submit, owned by the
@@ -425,6 +440,12 @@ class InferenceEngine : public Engine {
     /// Stage stamps accumulated as the request crosses the pipeline
     /// (offsets from `submitted`; trace context copied from options).
     RequestTimeline tl;
+    /// Lookup-stage hand-off for a request answered without building
+    /// (an exact hit, or expired — `status` then holds the deadline
+    /// error): read under `cache_mu_`, decided once it is released.
+    bool decide_after_lookup = false;
+    uint64_t live_tx_count = 0;
+    std::optional<Answer> held;
 
     bool has_deadline() const {
       return deadline != std::chrono::steady_clock::time_point{};
@@ -467,8 +488,57 @@ class InferenceEngine : public Engine {
   /// lock released.
   void RunLeader(std::unique_lock<std::mutex>* lock);
 
-  /// Executes one micro-batch (no queue lock held).
+  /// One unit of graph work in a micro-batch: an address that missed
+  /// the cache and every live request coalesced onto it.
+  struct Work {
+    std::vector<Request*> reqs;
+    chain::AddressId address = chain::kInvalidAddress;
+    uint64_t tx_count = 0;
+    int reuse_slices = 0;
+    int built = 0;
+    /// Reused complete-slice embeddings; workers append the rebuilt
+    /// tail behind them.
+    std::vector<std::vector<float>> rows;
+    /// The cache entry found at lookup, behind the live epoch: it
+    /// answers any member whose deadline expires before the build.
+    std::optional<Answer> stale;
+    /// True only while every requester is router-flagged sweep
+    /// traffic; one normal requester earns the result a cache slot.
+    bool no_promote = true;
+  };
+
+  /// Executes one micro-batch (no queue lock held) over one pinned
+  /// epoch: the three stages below, in order.
   void ProcessBatch(const std::vector<Request*>& batch);
+  /// Decides empty histories, exact hits and requests expired at
+  /// lookup; coalesces the rest into one Work unit per address.
+  std::vector<Work> LookupStage(const chain::LedgerSnapshot& snapshot,
+                                const std::vector<Request*>& batch);
+  /// Re-checks deadlines at the lookup->build boundary, then builds and
+  /// embeds every unit's tail slices over the pool.
+  void BuildEmbedStage(const chain::LedgerSnapshot& snapshot,
+                       std::vector<Work>* work);
+  /// Aggregates each unit, answers its requests, refreshes the cache.
+  void AggregateStage(std::vector<Work>* work);
+
+  /// The one decision for what a request gets from an answer already
+  /// `held` (a cache entry not ahead of the live capped tx count `n`,
+  /// or the batch's fresh result). `why` is the error of a request
+  /// that is shed or past its deadline, OK otherwise; without
+  /// `allow_degraded` it is returned at once. Else, in order: the exact
+  /// answer (a cache hit, or the fresh result — labeled late when `why`
+  /// fails), a stale entry, the fallback hook, `why`. Fills `out` or
+  /// returns the error, and counts the outcome. Runs the fallback hook:
+  /// never call it holding `cache_mu_`.
+  Status Decide(chain::AddressId address, uint64_t n,
+                const std::optional<Answer>& held, bool allow_degraded,
+                const Status& why, ClassifyResult* out);
+
+  /// Decide for a request answered at submit (shed, or expired), over
+  /// the live epoch and its cache entry (promoted unless kNoPromote).
+  Result<ClassifyResult> AnswerAtSubmit(chain::AddressId address,
+                                        const ClassifyOptions& options,
+                                        const Status& why);
 
   /// Capped chronological tx count of `address` at the pinned epoch —
   /// the cache key.
@@ -489,14 +559,6 @@ class InferenceEngine : public Engine {
 
   /// One save attempt (SaveCache wraps this in `options().save_retry`).
   Status SaveCacheOnce() const;
-
-  /// Best labeled answer for a request that cannot run the nominal
-  /// path (shed, or past deadline before any work): a stale cached
-  /// prediction, the fallback hook, or — when neither exists — `why`
-  /// verbatim. An exact-epoch cache hit comes back non-degraded.
-  Result<ClassifyResult> TryDegradedAnswer(chain::AddressId address,
-                                           const Status& why,
-                                           CacheMode cache_mode);
 
   /// Completes a submit-side fast path (shed, expired-at-submit,
   /// unknown address) with a timeline: deliver stamp, outcome label,

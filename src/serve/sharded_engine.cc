@@ -157,29 +157,35 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
   return sharded;
 }
 
-void ShardedEngine::ClassifyAsync(chain::AddressId address,
-                                  const ClassifyOptions& options,
-                                  ClassifyCallback done) {
-  BA_TRACE_SPAN("serve.router.dispatch");
+ClassifyOptions ShardedEngine::Route(const ClassifyOptions& options) {
   requests_->Increment();
   ClassifyOptions routed = options;
   routed.cache_mode = detector_.ModeFor(options.client_id);
   if (routed.cache_mode == CacheMode::kNoPromote) {
     sweep_requests_->Increment();
   }
+  return routed;
+}
+
+void ShardedEngine::Observe(uint64_t client_id,
+                            const Result<ClassifyResult>& r) {
+  if (client_id != 0 && r.ok() && r->tx_count > 0) {
+    detector_.Observe(client_id, r->cache_hit || r->slices_reused > 0);
+  }
+}
+
+void ShardedEngine::ClassifyAsync(chain::AddressId address,
+                                  const ClassifyOptions& options,
+                                  ClassifyCallback done) {
+  BA_TRACE_SPAN("serve.router.dispatch");
   const uint64_t client_id = options.client_id;
   shards_[router_.ShardOf(address)]->ClassifyAsync(
-      address, routed,
+      address, Route(options),
       [this, client_id, done = std::move(done)](Result<ClassifyResult> r,
                                                 const RequestTimeline& tl) {
-        // Feed the sweep detector before delivery so the *next* request
-        // of a scanning client already sees the updated mode. Errors
-        // (shed, deadline) and empty-history answers say nothing about
-        // cache temperature and are not observed.
-        if (client_id != 0 && r.ok() && r->tx_count > 0) {
-          detector_.Observe(client_id,
-                            r->cache_hit || r->slices_reused > 0);
-        }
+        // Observed before delivery so the *next* request of a scanning
+        // client already sees the updated mode.
+        Observe(client_id, r);
         done(std::move(r), tl);
       });
 }
@@ -187,20 +193,11 @@ void ShardedEngine::ClassifyAsync(chain::AddressId address,
 Result<ClassifyResult> ShardedEngine::Classify(chain::AddressId address,
                                                const ClassifyOptions& options) {
   BA_TRACE_SPAN("serve.router.dispatch");
-  requests_->Increment();
-  ClassifyOptions routed = options;
-  routed.cache_mode = detector_.ModeFor(options.client_id);
-  if (routed.cache_mode == CacheMode::kNoPromote) {
-    sweep_requests_->Increment();
-  }
   // The shard's blocking path lets this thread become its batch leader,
   // so a lone blocking caller keeps the unsharded latency profile.
   Result<ClassifyResult> r =
-      shards_[router_.ShardOf(address)]->Classify(address, routed);
-  if (options.client_id != 0 && r.ok() && r->tx_count > 0) {
-    detector_.Observe(options.client_id,
-                      r->cache_hit || r->slices_reused > 0);
-  }
+      shards_[router_.ShardOf(address)]->Classify(address, Route(options));
+  Observe(options.client_id, r);
   return r;
 }
 

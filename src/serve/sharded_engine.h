@@ -170,6 +170,14 @@ class ShardedEngine : public Engine {
   static Status CheckManifest(const std::string& cache_base, int num_engines);
   Status WriteManifest() const;
 
+  /// Routing prelude of every request: counts it and stamps the
+  /// client's sweep-detector cache mode on a copy of `options`.
+  ClassifyOptions Route(const ClassifyOptions& options);
+  /// Feeds a delivered outcome to the sweep detector. Errors (shed,
+  /// deadline), anonymous clients and empty-history answers say
+  /// nothing about cache temperature and are not observed.
+  void Observe(uint64_t client_id, const Result<ClassifyResult>& r);
+
   Options options_;
   ShardRouter router_;
   mutable SweepDetector detector_;

@@ -30,9 +30,10 @@ obs::Counter* TasksCounter() {
   return counter;
 }
 
-/// Set for the lifetime of every WorkerLoop, so nested parallel
-/// regions can detect they are already running on pool capacity.
-thread_local bool t_in_pool_worker = false;
+/// The pool whose WorkerLoop owns the calling thread (null elsewhere),
+/// so nested parallel regions can detect they are already running on
+/// pool capacity — and on which pool.
+thread_local const ThreadPool* t_worker_of = nullptr;
 
 }  // namespace
 
@@ -85,7 +86,7 @@ void ThreadPool::Wait() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-bool ThreadPool::InWorkerThread() { return t_in_pool_worker; }
+bool ThreadPool::InWorkerThread() { return t_worker_of != nullptr; }
 
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
@@ -123,11 +124,14 @@ void ThreadPool::ParallelFor(size_t n,
   // A worker caller takes iterations itself and so needs one helper
   // fewer. It drains the counter before waiting, so it only ever waits
   // on iterations already running on other threads — never on a task
-  // queued behind it — and a nested call cannot deadlock. An external
-  // caller only waits, keeping bodies on pool workers.
-  const bool caller_helps = t_in_pool_worker;
-  const size_t helpers =
-      std::min(caller_helps ? n - 1 : n, workers_.size());
+  // queued behind it — and a nested call cannot deadlock. A worker of
+  // this pool occupies one of its workers, so a helper beyond the
+  // others could only start once the call is over. An external caller
+  // only waits, keeping bodies on pool workers.
+  const bool caller_helps = t_worker_of != nullptr;
+  const size_t free_workers =
+      t_worker_of == this ? workers_.size() - 1 : workers_.size();
+  const size_t helpers = std::min(caller_helps ? n - 1 : n, free_workers);
   size_t accepted = 0;
   for (size_t h = 0; h < helpers; ++h) {
     if (!Submit([state, drain] { drain(*state); })) break;
@@ -141,7 +145,7 @@ void ThreadPool::ParallelFor(size_t n,
 
 void ThreadPool::WorkerLoop() {
   obs::Tracer::Instance().SetCurrentThreadName("ba.pool.worker");
-  t_in_pool_worker = true;
+  t_worker_of = this;
   for (;;) {
     PendingTask task;
     {

@@ -65,8 +65,10 @@ class ThreadPool {
   ///  * An external thread submits min(n, num_threads()) helper tasks
   ///    and only waits — its bodies run on pool workers alone.
   ///  * A pool worker (of any pool; see InWorkerThread) submits
-  ///    min(n - 1, num_threads()) helpers and claims iterations itself
-  ///    alongside them. It waits only after the counter is exhausted,
+  ///    min(n - 1, num_threads()) helpers — num_threads() - 1 at most
+  ///    when it is a worker of this pool, whose other workers are all a
+  ///    helper could run on — and claims iterations itself alongside
+  ///    them. It waits only after the counter is exhausted,
   ///    i.e. only on iterations already running on other threads, so a
   ///    nested call cannot deadlock however busy the pool is. A helper
   ///    that starts after the call returned finds nothing to claim and

@@ -690,6 +690,63 @@ TEST_F(ResilienceServeTest, DegradedResultContractStaleAcrossPaths) {
   EXPECT_EQ(engine->Metrics().degraded_stale, 2u);
 }
 
+// Companion contract pin for the exact leg: an expired allow_degraded
+// request whose cached entry is current gets a full hit, described and
+// counted the same whether the submit fast path or the batch lookup
+// answers it. The submit path used to count `full_hits` but not
+// `slices_reused`.
+TEST_F(ResilienceServeTest, DegradedResultContractExactHitAcrossPaths) {
+  FaultGuard guard;
+  auto engine = MakeEngine();
+  const AddressId address = (*watched_)[4].address;
+  const auto warm = engine->Classify(address);
+  ASSERT_TRUE(warm.ok()) << warm.status().message();
+  ASSERT_GT(warm.value().tx_count, 0u);
+  const uint64_t entry_slices = static_cast<uint64_t>(
+      warm.value().slices_built + warm.value().slices_reused);
+  ASSERT_GT(entry_slices, 0u);
+  const auto before = engine->Metrics();
+
+  // Path 1: dead on arrival — the submit fast path answers.
+  const auto submit_hit = engine->Classify(address, ExpiredDeadline(true));
+  ASSERT_TRUE(submit_hit.ok()) << submit_hit.status().message();
+  const auto after_submit = engine->Metrics();
+  EXPECT_EQ(after_submit.slices_reused - before.slices_reused, entry_slices);
+  EXPECT_EQ(after_submit.full_hits - before.full_hits, 1u);
+
+  // Path 2: expires inside the batch, stalled in front of the lookup.
+  util::FaultInjector::Instance().ArmLatency(
+      InferenceEngine::kFaultBatchLookup, 0.05);
+  ClassifyOptions o;
+  o.deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
+  o.allow_degraded = true;
+  const auto batch_hit = engine->Classify(address, o);
+  ASSERT_TRUE(batch_hit.ok()) << batch_hit.status().message();
+  const auto after_batch = engine->Metrics();
+  EXPECT_EQ(after_batch.slices_reused - after_submit.slices_reused,
+            entry_slices);
+  EXPECT_EQ(after_batch.full_hits - after_submit.full_hits, 1u);
+
+  const ClassifyResult& a = submit_hit.value();
+  const ClassifyResult& b = batch_hit.value();
+  EXPECT_FALSE(a.degraded);
+  EXPECT_TRUE(a.cache_hit);
+  EXPECT_EQ(a.tx_count, warm.value().tx_count);
+  EXPECT_EQ(static_cast<uint64_t>(a.slices_reused), entry_slices);
+  EXPECT_EQ(a.predicted, warm.value().predicted);
+  // Field-for-field: both paths describe the same answer identically.
+  EXPECT_EQ(a.predicted, b.predicted);
+  EXPECT_EQ(a.cache_hit, b.cache_hit);
+  EXPECT_EQ(a.slices_reused, b.slices_reused);
+  EXPECT_EQ(a.slices_built, b.slices_built);
+  EXPECT_EQ(a.tx_count, b.tx_count);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.epoch_lag, b.epoch_lag);
+  EXPECT_EQ(after_batch.degraded_stale, 0u);
+  EXPECT_EQ(after_batch.deadline_exceeded, 0u);
+}
+
 // Companion contract pin for the fallback leg: a cold-cache degraded
 // answer reports the live epoch with no lag and no cache reuse, from
 // the submit fast path and from inside the batch alike.

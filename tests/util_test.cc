@@ -443,12 +443,12 @@ TEST(ThreadPoolTest, WorkerCallerReturnsWhileHelperQueuedBehindBlockedWorker) {
   }));
   ASSERT_TRUE(caller_done.Wait());
   // The other worker is blocked, so the caller ran all three iterations
-  // itself and returned with both helpers still queued: blocker + this
-  // task + two helpers.
-  EXPECT_EQ(backlog_at_return, 4u);
+  // itself and returned with its one helper (a worker of a 2-thread
+  // pool gets at most one) still queued: blocker + this task + helper.
+  EXPECT_EQ(backlog_at_return, 3u);
   EXPECT_EQ(runs.load(), 3);
   unblock.CountDown();
-  pool.Wait();  // the late helpers have now run — and done nothing
+  pool.Wait();  // the late helper has now run — and done nothing
   EXPECT_EQ(runs.load(), 3);
 }
 
