@@ -4,10 +4,18 @@
 // Paper: Stage 1 (extraction) 0.19s / 4.38%, Stage 2 (single-tx
 // compression) 0.63s / 14.52%, Stage 3 (multi-tx compression) 2.71s /
 // 62.44%, Stage 4 (augmentation) 0.81s / 18.66%; total 4.34s. Absolute
-// times scale with address history size; the shape to reproduce is
-// Stage 3 dominating.
+// times scale with address history size. The paper's Stage-3-dominant
+// shape comes from the dense all-pairs similarity S = A·Aᵀ; this
+// builder counts only co-occurring pairs, so its Stage 3 share is
+// smaller (EXPERIMENTS.md, Table V).
+//
+//   --slice N    transactions per slice (100 = paper regime; the
+//                serving benchmark uses 20)
+//   --out PATH   also write per-stage ms/address as JSON
 
+#include <fstream>
 #include <iostream>
+#include <thread>
 
 #include "bench/bench_common.h"
 #include "core/graph_builder.h"
@@ -64,10 +72,29 @@ int main(int argc, char** argv) {
   table.AddSeparator();
   table.AddRow({"Total", ba::TablePrinter::Num(total / n * 1e3, 3) + " ms",
                 "100%", "4.34 s", "100%"});
+  const std::string out_path = flags.GetString("out", "");
+  if (!out_path.empty()) {
+    std::ofstream out(out_path, std::ios::trunc);
+    out << "{\"slice\":" << opts.slice_size << ",\"psi\":"
+        << opts.similarity_threshold << ",\"miners_per_pool\":"
+        << config.miners_per_pool << ",\"addresses\":" << labeled.size()
+        << ",\"graphs\":" << total_graphs << ",\"ms_per_address\":{";
+    const char* keys[4] = {"extract", "single_compress", "multi_compress",
+                           "augment"};
+    for (int s = 0; s < 4; ++s) {
+      out << "\"" << keys[s] << "\":" << stages[s] / n * 1e3 << ",";
+    }
+    out << "\"total\":" << total / n * 1e3
+        << "},\"nproc\":" << std::thread::hardware_concurrency()
+        << ",\"meta\":" << ba::bench::BenchMetaJson(flags, "table5_stages")
+        << "}\n";
+    BA_CHECK(out.good());
+    std::cout << "wrote " << out_path << "\n";
+  }
   table.Print(std::cout,
               "Table V — per-stage graph construction cost over " +
                   std::to_string(labeled.size()) + " addresses (" +
                   std::to_string(total_graphs) +
-                  " graphs); paper shape: Stage 3 dominates");
+                  " graphs); paper shape: Stage 3 dominates (dense S)");
   return 0;
 }

@@ -47,7 +47,9 @@
 #                      training throughput bench at 1 and N lanes, and
 #                      the int8 serving comparison (quantized engine
 #                      must hold >= 1.3x fp32 qps with label accuracy
-#                      within 0.5 points). Fails on any kernel parity
+#                      within 0.5 points), and the Table V
+#                      construction-stage bench in the paper and the
+#                      serving regime. Fails on any kernel parity
 #                      mismatch, serial/threaded loss divergence, or a
 #                      missed int8 gate; the JSON outputs land in the
 #                      build dir, not the repo root.
@@ -309,7 +311,8 @@ EOF
     THREADS="${BA_THREADS:-$(nproc)}"
     cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build "$BUILD_DIR" -j "$(nproc)" \
-      --target bench_gemm bench_train_throughput bench_serve_throughput
+      --target bench_gemm bench_train_throughput bench_serve_throughput \
+      bench_table5_stages
     # Kernel parity + single-thread speedup (the acceptance gate), then
     # the row-panel split at N threads. bench_gemm exits non-zero on any
     # parity mismatch — fp32 tolerance parity, and bit-exact int8
@@ -328,6 +331,13 @@ EOF
     # points (bench_serve_throughput exits non-zero on either miss).
     "$BUILD_DIR"/bench/bench_serve_throughput --precision int8 \
       --out "$BUILD_DIR/BENCH_serve_int8.json"
+    # Table V per-stage construction cost (ms/address), in the paper's
+    # regime (100-tx slices, large pool payouts) and in the serving
+    # benchmark's (20-tx slices).
+    "$BUILD_DIR"/bench/bench_table5_stages \
+      --out "$BUILD_DIR/BENCH_table5_paper.json"
+    "$BUILD_DIR"/bench/bench_table5_stages --slice 20 \
+      --out "$BUILD_DIR/BENCH_table5_serving.json"
     echo "perf smoke OK (threads=$THREADS)"
     ;;
   *)

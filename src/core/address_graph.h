@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,12 +102,13 @@ struct AddressGraph {
 
 /// Initializes a node feature vector: kind one-hot + compressed SFE of
 /// `values`, with zeroed target-flag and centrality slots (filled by
-/// the construction pipeline).
-inline std::vector<double> MakeNodeFeatures(
-    NodeKind kind, const std::vector<double>& values) {
+/// the construction pipeline). `scratch` is SFE's sort buffer.
+inline std::vector<double> MakeNodeFeatures(NodeKind kind,
+                                            std::span<const double> values,
+                                            std::vector<double>* scratch) {
   std::vector<double> f(kNodeFeatureDim, 0.0);
   f[static_cast<size_t>(kind)] = 1.0;
-  const auto sfe = ComputeCompressedSfe(values);
+  const auto sfe = ComputeCompressedSfe(values, scratch);
   for (int i = 0; i < kSfeDim; ++i) {
     f[static_cast<size_t>(kSfeFeatureOffset + i)] =
         sfe[static_cast<size_t>(i)];

@@ -1,6 +1,7 @@
 #include "core/aggregator.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -54,9 +55,9 @@ Status AggregatorOptions::Validate() const {
         std::to_string(epochs) + ", batch_size " +
         std::to_string(batch_size) + ")");
   }
-  if (!(learning_rate > 0.0f)) {
+  if (!(learning_rate > 0.0f) || !std::isfinite(learning_rate)) {
     return Status::InvalidArgument(
-        "aggregator.learning_rate must be positive (got " +
+        "aggregator.learning_rate must be finite and positive (got " +
         std::to_string(learning_rate) + ")");
   }
   if (num_threads < 0) {

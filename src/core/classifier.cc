@@ -278,6 +278,11 @@ Status ParseDouble(const std::string& key, const std::string& value,
     return Status::InvalidArgument("options field " + key +
                                    ": not a number: '" + value + "'");
   }
+  // strtod accepts "nan" and "inf"; no option is meaningful at either.
+  if (!std::isfinite(v)) {
+    return Status::InvalidArgument("options field " + key +
+                                   ": not a finite number: '" + value + "'");
+  }
   *out = v;
   return Status::OK();
 }
@@ -353,8 +358,15 @@ std::map<std::string, FieldParser> OptionFields(BaClassifier::Options* o) {
                 &c.enable_multi_compression);
   f["dataset.construction.enable_augmentation"] = BoolField(
       "dataset.construction.enable_augmentation", &c.enable_augmentation);
-  f["dataset.construction.use_sparse_similarity"] = BoolField(
-      "dataset.construction.use_sparse_similarity", &c.use_sparse_similarity);
+  // Retired: Stage 3 has one similarity implementation. Checkpoints
+  // written while it had two still carry this key; it must still parse
+  // as a bool, and its value is ignored.
+  f["dataset.construction.use_sparse_similarity"] =
+      [](const std::string& value) {
+        bool ignored = false;
+        return BoolField("dataset.construction.use_sparse_similarity",
+                         &ignored)(value);
+      };
   f["dataset.k_hops"] = IntField("dataset.k_hops", &o->dataset.k_hops);
   f["dataset.num_threads"] =
       IntField("dataset.num_threads", &o->dataset.num_threads);
@@ -423,8 +435,6 @@ std::string EncodeClassifierOptions(const BaClassifier::Options& o) {
         c.enable_multi_compression);
   AddKv(&s, "dataset.construction.enable_augmentation",
         c.enable_augmentation);
-  AddKv(&s, "dataset.construction.use_sparse_similarity",
-        c.use_sparse_similarity);
   AddKv(&s, "dataset.k_hops", static_cast<int64_t>(o.dataset.k_hops));
   AddKv(&s, "dataset.num_threads",
         static_cast<int64_t>(o.dataset.num_threads));

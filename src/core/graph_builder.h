@@ -18,7 +18,11 @@
 /// Stage 4  graph structure augmentation           (Eq. 8-11)
 ///
 /// Per-stage wall-clock accumulators are built in, because Table V of
-/// the paper reports exactly this breakdown.
+/// the paper reports exactly this breakdown. BuildGraphs defers Stage
+/// 1's SFE until compression has decided which nodes survive (its time
+/// still counts as Stage 1); the individual stage methods below each
+/// return complete graphs, and running them in order gives the same
+/// graphs as BuildGraphs, bit for bit.
 
 namespace ba::core {
 
@@ -37,13 +41,6 @@ struct GraphConstructorOptions {
   bool enable_single_compression = true;
   bool enable_multi_compression = true;
   bool enable_augmentation = true;
-  /// Stage 3 similarity backend. `false` (default) computes the dense
-  /// all-pairs S = A·Aᵀ, M = S·D⁻¹, Q = ReLU(M − Ψ·I) exactly as
-  /// Eq. 3-5 describe — the cost profile the paper's Table V reports.
-  /// `true` enables this library's sparse-incidence optimization, which
-  /// produces identical merge groups at a fraction of the cost (see
-  /// bench_ablation_compression).
-  bool use_sparse_similarity = false;
 
   /// \brief Returns OK when every field is usable, or a descriptive
   /// InvalidArgument naming the offending field and value.
@@ -117,7 +114,8 @@ class GraphConstructor {
   void CompressSingleTransactionAddresses(AddressGraph* graph) const;
 
   /// Stage 3: merge multi-transaction addresses with similar
-  /// connectivity via S = A·Aᵀ, M = S·D⁻¹, Q = ReLU(M − Ψ·I).
+  /// connectivity, q_ij = ReLU(s_ij / s_jj − Ψ) > 0 with S = A·Aᵀ
+  /// (Eq. 3-6). Only co-occurring pairs are counted; S is never formed.
   void CompressMultiTransactionAddresses(AddressGraph* graph) const;
 
   /// Stage 4: compute degree / closeness / betweenness / PageRank and

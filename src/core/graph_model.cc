@@ -47,7 +47,7 @@ Status GraphModelOptions::Validate() const {
         "graph_model.diffpool_clusters must be positive (got " +
         std::to_string(diffpool_clusters) + ")");
   }
-  if (dropout < 0.0f || dropout >= 1.0f) {
+  if (!(dropout >= 0.0f && dropout < 1.0f)) {  // also rejects NaN
     return Status::InvalidArgument(
         "graph_model.dropout must be in [0, 1) (got " +
         std::to_string(dropout) + ")");
@@ -58,14 +58,14 @@ Status GraphModelOptions::Validate() const {
         std::to_string(epochs) + ", batch_size " +
         std::to_string(batch_size) + ")");
   }
-  if (!(learning_rate > 0.0f)) {
+  if (!(learning_rate > 0.0f) || !std::isfinite(learning_rate)) {
     return Status::InvalidArgument(
-        "graph_model.learning_rate must be positive (got " +
+        "graph_model.learning_rate must be finite and positive (got " +
         std::to_string(learning_rate) + ")");
   }
-  if (weight_decay < 0.0f) {
+  if (!std::isfinite(weight_decay) || weight_decay < 0.0f) {
     return Status::InvalidArgument(
-        "graph_model.weight_decay must be >= 0 (got " +
+        "graph_model.weight_decay must be finite and >= 0 (got " +
         std::to_string(weight_decay) + ")");
   }
   if (checkpoint_every < 1) {

@@ -7,7 +7,7 @@ namespace ba::core {
 
 namespace {
 
-double Percentile(std::vector<double> sorted, double p) {
+double Percentile(std::span<const double> sorted, double p) {
   // Linear interpolation between closest ranks (inclusive method).
   if (sorted.empty()) return 0.0;
   if (sorted.size() == 1) return sorted[0];
@@ -29,12 +29,14 @@ double Clamp(double v, double lo, double hi) {
 
 }  // namespace
 
-std::array<double, kSfeDim> ComputeSfe(const std::vector<double>& values) {
+std::array<double, kSfeDim> ComputeSfe(std::span<const double> values,
+                                       std::vector<double>* scratch) {
   std::array<double, kSfeDim> out{};
   const size_t n = values.size();
   if (n == 0) return out;
 
-  std::vector<double> sorted = values;
+  std::vector<double>& sorted = *scratch;
+  sorted.assign(values.begin(), values.end());
   std::sort(sorted.begin(), sorted.end());
   const double min_v = sorted.front();
   const double max_v = sorted.back();
@@ -95,9 +97,20 @@ std::array<double, kSfeDim> CompressSfe(
   return out;
 }
 
+std::array<double, kSfeDim> ComputeSfe(const std::vector<double>& values) {
+  std::vector<double> scratch;
+  return ComputeSfe(values, &scratch);
+}
+
+std::array<double, kSfeDim> ComputeCompressedSfe(
+    std::span<const double> values, std::vector<double>* scratch) {
+  return CompressSfe(ComputeSfe(values, scratch));
+}
+
 std::array<double, kSfeDim> ComputeCompressedSfe(
     const std::vector<double>& values) {
-  return CompressSfe(ComputeSfe(values));
+  std::vector<double> scratch;
+  return ComputeCompressedSfe(values, &scratch);
 }
 
 }  // namespace ba::core

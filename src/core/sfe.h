@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 /// \file sfe.h
@@ -40,6 +41,10 @@ enum SfeIndex : int {
 /// amounts, in BTC). An empty input yields the all-zero vector.
 ///
 /// Unbounded statistics are NOT compressed here; see CompressSfe.
+/// `scratch` holds the sorted copy the order statistics need, so a
+/// caller summarizing many nodes allocates it once.
+std::array<double, kSfeDim> ComputeSfe(std::span<const double> values,
+                                       std::vector<double>* scratch);
 std::array<double, kSfeDim> ComputeSfe(const std::vector<double>& values);
 
 /// \brief Signed-log compression of the scale-carrying SFE entries
@@ -52,6 +57,8 @@ std::array<double, kSfeDim> CompressSfe(
     const std::array<double, kSfeDim>& raw);
 
 /// Convenience: ComputeSfe followed by CompressSfe.
+std::array<double, kSfeDim> ComputeCompressedSfe(
+    std::span<const double> values, std::vector<double>* scratch);
 std::array<double, kSfeDim> ComputeCompressedSfe(
     const std::vector<double>& values);
 

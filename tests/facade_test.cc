@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,39 @@ TEST(ValidateTest, ModelAndAggregatorFieldErrorsNameTheField) {
             std::string::npos);
 }
 
+TEST(ValidateTest, NonFiniteFloatFieldsAreRejectedAndNamed) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    const auto expect_named = [&](const Status& s, const char* field) {
+      ASSERT_EQ(s.code(), StatusCode::kInvalidArgument) << field << " " << bad;
+      EXPECT_NE(s.message().find(field), std::string::npos) << s.message();
+    };
+    GraphConstructorOptions c;
+    c.similarity_threshold = bad;
+    expect_named(c.Validate(), "similarity_threshold");
+
+    GraphModelOptions m;
+    m.dropout = static_cast<float>(bad);
+    expect_named(m.Validate(), "dropout");
+    m = GraphModelOptions{};
+    m.weight_decay = static_cast<float>(bad);
+    expect_named(m.Validate(), "weight_decay");
+    m = GraphModelOptions{};
+    m.learning_rate = static_cast<float>(bad);
+    expect_named(m.Validate(), "learning_rate");
+
+    AggregatorOptions a;
+    a.learning_rate = static_cast<float>(bad);
+    expect_named(a.Validate(), "learning_rate");
+
+    // The whole-options check reaches every stage's fields.
+    BaClassifier::Options o;
+    o.dataset.construction.similarity_threshold = bad;
+    expect_named(o.Validate(), "similarity_threshold");
+  }
+}
+
 TEST(FacadeTest, CreateRejectsInvalidOptions) {
   BaClassifier::Options opts;
   opts.graph_model.hidden_dim = -1;
@@ -126,7 +160,7 @@ TEST(FacadeTest, OptionsCodecRoundTrips) {
   BaClassifier::Options opts;
   opts.dataset.construction.slice_size = 50;
   opts.dataset.construction.similarity_threshold = 0.75;
-  opts.dataset.construction.use_sparse_similarity = true;
+  opts.dataset.construction.enable_augmentation = false;
   opts.dataset.k_hops = 3;
   opts.graph_model.k_hops = 3;
   opts.graph_model.encoder = GraphEncoderKind::kGcn;
@@ -140,7 +174,8 @@ TEST(FacadeTest, OptionsCodecRoundTrips) {
   ASSERT_TRUE(DecodeClassifierOptions(text, &decoded).ok());
   EXPECT_EQ(decoded.dataset.construction.slice_size, 50);
   EXPECT_DOUBLE_EQ(decoded.dataset.construction.similarity_threshold, 0.75);
-  EXPECT_TRUE(decoded.dataset.construction.use_sparse_similarity);
+  EXPECT_FALSE(decoded.dataset.construction.enable_augmentation);
+  EXPECT_EQ(text.find("use_sparse_similarity"), std::string::npos);
   EXPECT_EQ(decoded.dataset.k_hops, 3);
   EXPECT_EQ(decoded.graph_model.encoder, GraphEncoderKind::kGcn);
   EXPECT_EQ(decoded.graph_model.embed_dim, 48);
@@ -148,6 +183,46 @@ TEST(FacadeTest, OptionsCodecRoundTrips) {
   EXPECT_EQ(decoded.aggregator.hidden_dim, 24);
   EXPECT_EQ(decoded.seed, 99u);
   EXPECT_TRUE(decoded.Validate().ok());
+}
+
+TEST(FacadeTest, OptionsCodecAcceptsRetiredSimilarityBackendKey) {
+  // Checkpoints from before Stage 3 had a single implementation carry
+  // `use_sparse_similarity`; they must still load, and the key must
+  // still be a well-formed bool.
+  BaClassifier::Options base;
+  base.dataset.construction.similarity_threshold = 0.75;
+  const std::string text = EncodeClassifierOptions(base);
+  for (const char* value : {"0", "1"}) {
+    BaClassifier::Options decoded;
+    ASSERT_TRUE(DecodeClassifierOptions(
+                    text + "dataset.construction.use_sparse_similarity=" +
+                        value + "\n",
+                    &decoded)
+                    .ok())
+        << value;
+    EXPECT_EQ(EncodeClassifierOptions(decoded), text) << value;
+  }
+  BaClassifier::Options decoded;
+  const Status bad = DecodeClassifierOptions(
+      "dataset.construction.use_sparse_similarity=yes\n", &decoded);
+  ASSERT_EQ(bad.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.message().find("use_sparse_similarity"), std::string::npos);
+}
+
+TEST(FacadeTest, OptionsCodecRejectsNonFiniteNumbers) {
+  for (const char* key :
+       {"dataset.construction.similarity_threshold", "graph_model.dropout",
+        "graph_model.learning_rate", "graph_model.weight_decay",
+        "aggregator.learning_rate"}) {
+    for (const char* value : {"nan", "NAN", "inf", "-inf", "infinity"}) {
+      BaClassifier::Options decoded;
+      const Status s = DecodeClassifierOptions(
+          std::string(key) + "=" + value + "\n", &decoded);
+      ASSERT_EQ(s.code(), StatusCode::kInvalidArgument) << key << "=" << value;
+      EXPECT_NE(s.message().find(key), std::string::npos) << s.message();
+      EXPECT_NE(s.message().find("finite"), std::string::npos) << s.message();
+    }
+  }
 }
 
 TEST(FacadeTest, OptionsCodecRejectsUnknownKeys) {
