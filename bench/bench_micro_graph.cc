@@ -1,16 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: SFE,
-// centrality measures, sparse products, normalized adjacency, and the
-// individual construction stages on a fixed economy.
+// centrality measures, sparse products, normalized adjacency, the
+// individual construction stages on a fixed economy, and inference on
+// and off the autograd tape (GFN embed per graph, aggregator logits).
 
 #include <benchmark/benchmark.h>
 
 #include "chain/ledger.h"
+#include "core/aggregator.h"
 #include "core/gfn_features.h"
 #include "core/graph_builder.h"
 #include "core/sfe.h"
 #include "datagen/simulator.h"
 #include "graph/centrality.h"
 #include "graph/sparse_matrix.h"
+#include "nn/gfn.h"
 #include "util/rng.h"
 
 namespace {
@@ -157,6 +160,73 @@ BENCHMARK_F(StageFixture, TensorPreparation)(benchmark::State& state) {
     }
   }
 }
+
+BENCHMARK_F(StageFixture, AugmentedFeaturesOnly)(benchmark::State& state) {
+  ba::core::GraphConstructor constructor;
+  auto graphs = constructor.BuildGraphs(simulator->ledger(), address);
+  for (auto _ : state) {
+    for (const auto& g : graphs) {
+      benchmark::DoNotOptimize(ba::core::AugmentedFeatures(g, 2));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(graphs.size()));
+}
+
+/// GFN embed per graph of the fixture address: arg 0 runs the autograd
+/// tape, arg 1 the tape-free value path the server uses.
+BENCHMARK_DEFINE_F(StageFixture, GfnEmbed)(benchmark::State& state) {
+  ba::core::GraphConstructor constructor;
+  const auto graphs = constructor.BuildGraphs(simulator->ledger(), address);
+  std::vector<ba::tensor::Tensor> inputs;
+  for (const auto& g : graphs) {
+    inputs.push_back(ba::core::AugmentedFeatures(g, 2));
+  }
+  ba::Rng rng(7);
+  ba::nn::GfnEncoder::Options options;
+  options.input_dim = ba::core::AugmentedDim(2);
+  const ba::nn::GfnEncoder encoder(options, &rng);
+  const bool tape = state.range(0) == 0;
+  state.SetLabel(tape ? "tape" : "value");
+  for (auto _ : state) {
+    for (const auto& x : inputs) {
+      if (tape) {
+        benchmark::DoNotOptimize(encoder.Embed(ba::tensor::Constant(x)));
+      } else {
+        benchmark::DoNotOptimize(encoder.EmbedValue(x));
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(inputs.size()));
+}
+BENCHMARK_REGISTER_F(StageFixture, GfnEmbed)->Arg(0)->Arg(1);
+
+/// Aggregator logits for one (T, 32) sequence: args are the kind's
+/// index (AllAggregators, then self-attention), T, and 0 for the tape's
+/// Logits or 1 for the tape-free Predict.
+void BM_AggregatorLogits(benchmark::State& state) {
+  std::vector<ba::core::AggregatorKind> kinds = ba::core::AllAggregators();
+  kinds.push_back(ba::core::AggregatorKind::kSelfAttention);
+  ba::core::AggregatorOptions options;
+  options.kind = kinds[static_cast<size_t>(state.range(0))];
+  const ba::core::AggregatorModel model(options);
+  ba::Rng rng(9);
+  const ba::tensor::Tensor seq = ba::tensor::Tensor::RandomNormal(
+      {state.range(1), options.embed_dim}, &rng);
+  const bool tape = state.range(2) == 0;
+  state.SetLabel(std::string(ba::core::AggregatorName(options.kind)) +
+                 (tape ? " tape" : " value"));
+  for (auto _ : state) {
+    if (tape) {
+      benchmark::DoNotOptimize(model.Logits(seq));
+    } else {
+      benchmark::DoNotOptimize(model.Predict(seq));
+    }
+  }
+}
+BENCHMARK(BM_AggregatorLogits)->ArgsProduct({{0, 1, 2, 3, 4, 5, 6}, {3, 12},
+                                            {0, 1}});
 
 }  // namespace
 

@@ -163,11 +163,42 @@ tensor::Var AggregatorModel::Logits(
   return head_->Forward(pooled);
 }
 
+tensor::Tensor AggregatorModel::LogitsValue(
+    const tensor::Tensor& embeddings) const {
+  BA_CHECK_EQ(embeddings.rank(), 2);
+  BA_CHECK_EQ(embeddings.dim(1), options_.embed_dim);
+  tensor::Tensor pooled;
+  switch (options_.kind) {
+    case AggregatorKind::kLstm:
+      pooled = lstm_->ForwardLastValue(embeddings);
+      break;
+    case AggregatorKind::kBiLstm:
+      pooled = bilstm_->ForwardLastValue(embeddings);
+      break;
+    case AggregatorKind::kAttention:
+      pooled = attention_->ForwardValue(embeddings);
+      break;
+    case AggregatorKind::kSum:
+      pooled = tensor::SumRowsValue(embeddings);
+      break;
+    case AggregatorKind::kAvg:
+      pooled = tensor::MeanRowsValue(embeddings);
+      break;
+    case AggregatorKind::kMax:
+      pooled = tensor::MaxRowsValue(embeddings);
+      break;
+    case AggregatorKind::kSelfAttention:
+      pooled = self_attention_->ForwardValue(embeddings);
+      break;
+  }
+  return head_->ForwardValue(pooled);
+}
+
 int AggregatorModel::Predict(const tensor::Tensor& embeddings) const {
-  const tensor::Var logits = Logits(embeddings);
+  const tensor::Tensor logits = LogitsValue(embeddings);
   int best = 0;
   for (int c = 1; c < options_.num_classes; ++c) {
-    if (logits->value.at(0, c) > logits->value.at(0, best)) best = c;
+    if (logits.at(0, c) > logits.at(0, best)) best = c;
   }
   return best;
 }

@@ -69,9 +69,16 @@ class AggregatorModel {
  public:
   explicit AggregatorModel(const AggregatorOptions& options);
 
-  /// Class logits for one sequence, shape (1, classes).
+  /// Class logits for one sequence, shape (1, classes), on the autograd
+  /// tape (training).
   tensor::Var Logits(const tensor::Tensor& embeddings) const;
 
+  /// Logits without the tape (inference): the same bits as
+  /// Logits(embeddings)->value, for every AggregatorKind.
+  tensor::Tensor LogitsValue(const tensor::Tensor& embeddings) const;
+
+  /// Arg-max of LogitsValue. Const and allocation-local, so concurrent
+  /// callers may share one trained model.
   int Predict(const tensor::Tensor& embeddings) const;
 
   /// \brief Trains on sequences; per-epoch stats recorded when

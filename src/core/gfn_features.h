@@ -36,4 +36,9 @@ inline int64_t AugmentedDim(int k_hops) {
 /// maximum propagation power in Eq. 13 (the paper's k).
 GraphTensors PrepareGraphTensors(const AddressGraph& graph, int k_hops);
 
+/// \brief X^G alone, equal bit for bit to
+/// `PrepareGraphTensors(graph, k_hops).augmented`. GFN reads nothing
+/// else, so its serving path skips materializing X and Ã.
+tensor::Tensor AugmentedFeatures(const AddressGraph& graph, int k_hops);
+
 }  // namespace ba::core

@@ -187,7 +187,7 @@ int GraphModel::PredictGraph(const GraphTensors& gt) const {
 tensor::Tensor GraphModel::Embed(const GraphTensors& gt) const {
   switch (options_.encoder) {
     case GraphEncoderKind::kGfn:
-      return gfn_->Embed(tensor::Constant(gt.augmented))->value;
+      return gfn_->EmbedValue(gt.augmented);
     case GraphEncoderKind::kGcn:
       return gcn_->Embed(gt.norm_adj, tensor::Constant(gt.base_features))
           ->value;
@@ -223,15 +223,17 @@ Status GraphModel::Quantize(const std::vector<AddressSample>& calibration) {
   return Status::OK();
 }
 
-tensor::Tensor GraphModel::EmbedQuantized(const GraphTensors& gt) const {
+tensor::Tensor GraphModel::EmbedAugmented(
+    const tensor::Tensor& augmented) const {
+  BA_CHECK(gfn_ != nullptr);
+  return gfn_->EmbedValue(augmented);
+}
+
+tensor::Tensor GraphModel::EmbedQuantized(
+    const tensor::Tensor& augmented) const {
   BA_CHECK(quantized_node_mlp_ != nullptr);
-  const tensor::Tensor h = quantized_node_mlp_->Forward(gt.augmented);
   // SUM readout (Eq. 15) in fp32, exactly like the fp32 path.
-  tensor::Tensor out({1, h.dim(1)});
-  for (int64_t i = 0; i < h.dim(0); ++i) {
-    for (int64_t j = 0; j < h.dim(1); ++j) out.at(0, j) += h.at(i, j);
-  }
-  return out;
+  return tensor::SumRowsValue(quantized_node_mlp_->Forward(augmented));
 }
 
 Status GraphModel::Train(const std::vector<AddressSample>& train,

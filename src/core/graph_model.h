@@ -103,7 +103,12 @@ class GraphModel {
   int PredictGraph(const GraphTensors& gt) const;
 
   /// Graph embedding rep^G (inference mode), shape (1, embed_dim).
+  /// GFN runs without the autograd tape; the other encoders use it.
   tensor::Tensor Embed(const GraphTensors& gt) const;
+
+  /// GFN only: Embed from X^G alone (see AugmentedFeatures), the same
+  /// bits as Embed(gt) for `augmented` = gt.augmented.
+  tensor::Tensor EmbedAugmented(const tensor::Tensor& augmented) const;
 
   /// \brief Post-training int8 quantization of the embed path,
   /// calibrated on the augmented node features of `calibration`
@@ -117,9 +122,9 @@ class GraphModel {
   /// True after a successful Quantize().
   bool quantized() const { return quantized_node_mlp_ != nullptr; }
 
-  /// Graph embedding through the int8 node MLP (SUM readout in fp32),
-  /// shape (1, embed_dim). Requires quantized().
-  tensor::Tensor EmbedQuantized(const GraphTensors& gt) const;
+  /// Graph embedding from X^G through the int8 node MLP (SUM readout
+  /// in fp32), shape (1, embed_dim). Requires quantized().
+  tensor::Tensor EmbedQuantized(const tensor::Tensor& augmented) const;
 
   /// Graph-level confusion over every graph of `samples` — the Table II
   /// evaluation protocol.

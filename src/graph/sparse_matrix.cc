@@ -42,6 +42,21 @@ SparseMatrix SparseMatrix::FromTriplets(int64_t rows, int64_t cols,
   return m;
 }
 
+SparseMatrix SparseMatrix::FromCsr(int64_t rows, int64_t cols,
+                                   std::vector<int64_t> row_ptr,
+                                   std::vector<int64_t> col_idx,
+                                   std::vector<float> values) {
+  SparseMatrix m(rows, cols);
+  BA_CHECK_EQ(static_cast<int64_t>(row_ptr.size()), rows + 1);
+  BA_CHECK_EQ(row_ptr.front(), 0);
+  BA_CHECK_EQ(row_ptr.back(), static_cast<int64_t>(col_idx.size()));
+  BA_CHECK_EQ(col_idx.size(), values.size());
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_idx_ = std::move(col_idx);
+  m.values_ = std::move(values);
+  return m;
+}
+
 float SparseMatrix::At(int64_t r, int64_t c) const {
   const auto idx = RowIndices(r);
   const auto it = std::lower_bound(idx.begin(), idx.end(), c);
@@ -49,17 +64,24 @@ float SparseMatrix::At(int64_t r, int64_t c) const {
   return values_[static_cast<size_t>(row_ptr_[r] + (it - idx.begin()))];
 }
 
-void SparseMatrix::MultiplyDense(const float* x, int64_t x_cols,
-                                 float* y) const {
-  std::memset(y, 0, sizeof(float) * static_cast<size_t>(rows_ * x_cols));
-  for (int64_t r = 0; r < rows_; ++r) {
+void CsrMultiplyDense(int64_t rows, const int64_t* row_ptr,
+                      const int64_t* col_idx, const float* values,
+                      const float* x, int64_t x_cols, float* y) {
+  std::memset(y, 0, sizeof(float) * static_cast<size_t>(rows * x_cols));
+  for (int64_t r = 0; r < rows; ++r) {
     float* y_row = y + r * x_cols;
-    for (int64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const float v = values_[static_cast<size_t>(k)];
-      const float* x_row = x + col_idx_[static_cast<size_t>(k)] * x_cols;
+    for (int64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      const float v = values[k];
+      const float* x_row = x + col_idx[k] * x_cols;
       for (int64_t c = 0; c < x_cols; ++c) y_row[c] += v * x_row[c];
     }
   }
+}
+
+void SparseMatrix::MultiplyDense(const float* x, int64_t x_cols,
+                                 float* y) const {
+  CsrMultiplyDense(rows_, row_ptr_.data(), col_idx_.data(), values_.data(),
+                   x, x_cols, y);
 }
 
 SparseMatrix SparseMatrix::Transpose() const {

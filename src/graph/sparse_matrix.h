@@ -36,6 +36,14 @@ class SparseMatrix {
   static SparseMatrix FromTriplets(int64_t rows, int64_t cols,
                                    std::vector<Triplet> triplets);
 
+  /// \brief Adopts CSR arrays that are already canonical: `row_ptr`
+  /// has rows + 1 offsets, and each row's columns are unique and
+  /// ascending (what FromTriplets produces).
+  static SparseMatrix FromCsr(int64_t rows, int64_t cols,
+                              std::vector<int64_t> row_ptr,
+                              std::vector<int64_t> col_idx,
+                              std::vector<float> values);
+
   int64_t rows() const { return rows_; }
   int64_t cols() const { return cols_; }
   int64_t nnz() const { return static_cast<int64_t>(values_.size()); }
@@ -79,5 +87,13 @@ class SparseMatrix {
   std::vector<int64_t> col_idx_;
   std::vector<float> values_;
 };
+
+/// \brief Dense product `Y = S * X` over raw CSR arrays of S (`rows`
+/// rows): Y is zeroed, then each row accumulates its entries in column
+/// order. SparseMatrix::MultiplyDense is this loop, so callers holding
+/// bare CSR arrays get the same bits.
+void CsrMultiplyDense(int64_t rows, const int64_t* row_ptr,
+                      const int64_t* col_idx, const float* values,
+                      const float* x, int64_t x_cols, float* y);
 
 }  // namespace ba::graph

@@ -29,6 +29,15 @@ class AttentionPool : public Module {
     return MatMul(Transpose(alpha), sequence);            // (1, input)
   }
 
+  /// Forward without the tape; the same bits as Forward's value.
+  tensor::Tensor ForwardValue(const tensor::Tensor& sequence) const {
+    using namespace tensor;  // NOLINT(build/namespaces)
+    const Tensor scores =
+        MatMulValue(TanhValue(proj_.ForwardValue(sequence)), context_->value);
+    const Tensor alpha = SoftmaxValue(scores, /*axis=*/0);
+    return MatMulValue(TransposeValue(alpha), sequence);
+  }
+
   std::vector<Var> Parameters() const override {
     std::vector<Var> out = proj_.Parameters();
     out.push_back(context_);

@@ -47,6 +47,12 @@ class GfnEncoder : public Module {
     return tensor::SumRows(h);
   }
 
+  /// Embed without the tape (inference); the same bits as
+  /// Embed(Constant(x))->value.
+  tensor::Tensor EmbedValue(const tensor::Tensor& augmented) const {
+    return tensor::SumRowsValue(node_mlp_.ForwardValue(augmented));
+  }
+
   /// Class logits (1, num_classes) — Eq. 14's classifier.
   Var Forward(const Var& augmented_node_features, Rng* rng = nullptr,
               bool training = false) const {

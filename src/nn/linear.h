@@ -23,6 +23,12 @@ class Linear : public Module {
     return tensor::Add(tensor::MatMul(x, weight_), bias_);
   }
 
+  /// Forward without the tape; the same bits as Forward(x)->value.
+  tensor::Tensor ForwardValue(const tensor::Tensor& x) const {
+    return tensor::AddValue(tensor::MatMulValue(x, weight_->value),
+                            bias_->value);
+  }
+
   std::vector<Var> Parameters() const override { return {weight_, bias_}; }
 
   int64_t in_features() const { return weight_->value.dim(0); }
@@ -53,6 +59,19 @@ inline Var Activate(const Var& x, Activation act) {
   return x;
 }
 
+/// Activate without the tape.
+inline tensor::Tensor ActivateValue(tensor::Tensor x, Activation act) {
+  switch (act) {
+    case Activation::kRelu:
+      return tensor::ReluValue(std::move(x));
+    case Activation::kTanh:
+      return tensor::TanhValue(std::move(x));
+    case Activation::kSigmoid:
+      return tensor::SigmoidValue(std::move(x));
+  }
+  return x;
+}
+
 /// \brief Feed-forward stack: Linear(+activation) per hidden layer,
 /// plain Linear output layer, optional inverted dropout between layers.
 class Mlp : public Module {
@@ -78,6 +97,16 @@ class Mlp : public Module {
           h = tensor::Dropout(h, dropout_, rng, training);
         }
       }
+    }
+    return h;
+  }
+
+  /// Inference forward without the tape (dropout does not apply); the
+  /// same bits as Forward(x)->value.
+  tensor::Tensor ForwardValue(const tensor::Tensor& x) const {
+    tensor::Tensor h = layers_[0].ForwardValue(x);
+    for (size_t i = 1; i < layers_.size(); ++i) {
+      h = layers_[i].ForwardValue(ActivateValue(std::move(h), activation_));
     }
     return h;
   }

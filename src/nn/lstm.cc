@@ -1,5 +1,7 @@
 #include "nn/lstm.h"
 
+#include <algorithm>
+
 namespace ba::nn {
 
 LstmCell::LstmCell(int64_t input_size, int64_t hidden_size, Rng* rng)
@@ -21,6 +23,21 @@ std::pair<Var, Var> LstmCell::Step(const Var& x, const Var& h,
   const Var o = Sigmoid(output_gate_.Forward(hx));       // Eq. 20
   const Var h_new = Mul(o, Tanh(c_new));                 // Eq. 21
   return {h_new, c_new};
+}
+
+std::pair<tensor::Tensor, tensor::Tensor> LstmCell::StepValue(
+    const tensor::Tensor& x, const tensor::Tensor& h,
+    const tensor::Tensor& c) const {
+  using namespace tensor;  // NOLINT(build/namespaces)
+  const Tensor hx = ConcatColsValue({&h, &x});
+  Tensor f = SigmoidValue(forget_gate_.ForwardValue(hx));
+  Tensor i = SigmoidValue(input_gate_.ForwardValue(hx));
+  const Tensor c_tilde = TanhValue(candidate_.ForwardValue(hx));
+  Tensor c_new = AddValue(MulValue(std::move(f), c),
+                          MulValue(std::move(i), c_tilde));
+  Tensor o = SigmoidValue(output_gate_.ForwardValue(hx));
+  Tensor h_new = MulValue(std::move(o), TanhValue(c_new));
+  return {std::move(h_new), std::move(c_new)};
 }
 
 std::vector<Var> LstmCell::Parameters() const {
@@ -55,6 +72,20 @@ Var Lstm::ForwardLast(const Var& sequence) const {
   return tensor::SliceRows(all, t_steps - 1, t_steps);
 }
 
+tensor::Tensor Lstm::ForwardLastValue(const tensor::Tensor& sequence) const {
+  BA_CHECK_EQ(sequence.rank(), 2);
+  BA_CHECK_EQ(sequence.dim(1), cell_.input_size());
+  const int64_t t_steps = sequence.dim(0);
+  BA_CHECK_GT(t_steps, 0);
+  tensor::Tensor h({1, cell_.hidden_size()});
+  tensor::Tensor c({1, cell_.hidden_size()});
+  for (int64_t t = 0; t < t_steps; ++t) {
+    std::tie(h, c) =
+        cell_.StepValue(tensor::SliceRowsValue(sequence, t, t + 1), h, c);
+  }
+  return h;
+}
+
 Var ReverseRows(const Var& sequence) {
   const int64_t t_steps = sequence->value.dim(0);
   std::vector<Var> rows;
@@ -65,10 +96,28 @@ Var ReverseRows(const Var& sequence) {
   return tensor::ConcatRows(rows);
 }
 
+tensor::Tensor ReverseRowsValue(const tensor::Tensor& sequence) {
+  BA_CHECK_EQ(sequence.rank(), 2);
+  const int64_t t_steps = sequence.dim(0), d = sequence.dim(1);
+  tensor::Tensor out({t_steps, d});
+  for (int64_t t = 0; t < t_steps; ++t) {
+    std::copy_n(sequence.data() + (t_steps - 1 - t) * d, d,
+                out.data() + t * d);
+  }
+  return out;
+}
+
 Var BiLstm::ForwardLast(const Var& sequence) const {
   const Var fwd = forward_.ForwardLast(sequence);
   const Var bwd = backward_.ForwardLast(ReverseRows(sequence));
   return tensor::ConcatCols({fwd, bwd});
+}
+
+tensor::Tensor BiLstm::ForwardLastValue(const tensor::Tensor& sequence) const {
+  const tensor::Tensor fwd = forward_.ForwardLastValue(sequence);
+  const tensor::Tensor bwd =
+      backward_.ForwardLastValue(ReverseRowsValue(sequence));
+  return tensor::ConcatColsValue({&fwd, &bwd});
 }
 
 }  // namespace ba::nn

@@ -25,6 +25,11 @@ class LstmCell : public Module {
   /// returns the new (h, c).
   std::pair<Var, Var> Step(const Var& x, const Var& h, const Var& c) const;
 
+  /// Step without the tape; the same bits as Step's values.
+  std::pair<tensor::Tensor, tensor::Tensor> StepValue(
+      const tensor::Tensor& x, const tensor::Tensor& h,
+      const tensor::Tensor& c) const;
+
   std::vector<Var> Parameters() const override;
 
  private:
@@ -51,6 +56,9 @@ class Lstm : public Module {
   /// Runs the full sequence; returns the final hidden state (1, hidden).
   Var ForwardLast(const Var& sequence) const;
 
+  /// ForwardLast without the tape; the same bits as its value.
+  tensor::Tensor ForwardLastValue(const tensor::Tensor& sequence) const;
+
   std::vector<Var> Parameters() const override { return cell_.Parameters(); }
 
  private:
@@ -73,6 +81,9 @@ class BiLstm : public Module {
   /// Concatenated [h_fwd_last, h_bwd_last], shape (1, 2*hidden).
   Var ForwardLast(const Var& sequence) const;
 
+  /// ForwardLast without the tape; the same bits as its value.
+  tensor::Tensor ForwardLastValue(const tensor::Tensor& sequence) const;
+
   std::vector<Var> Parameters() const override {
     std::vector<Var> out = forward_.Parameters();
     auto b = backward_.Parameters();
@@ -87,5 +98,8 @@ class BiLstm : public Module {
 
 /// Reverses the row order of a (T, d) sequence (constant-capable op).
 Var ReverseRows(const Var& sequence);
+
+/// ReverseRows without the tape.
+tensor::Tensor ReverseRowsValue(const tensor::Tensor& sequence);
 
 }  // namespace ba::nn

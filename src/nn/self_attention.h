@@ -34,6 +34,17 @@ class SelfAttentionPool : public Module {
     return MeanRows(MatMul(attn, v));         // (1, m)
   }
 
+  /// Forward without the tape; the same bits as Forward's value.
+  tensor::Tensor ForwardValue(const tensor::Tensor& sequence) const {
+    using namespace tensor;  // NOLINT(build/namespaces)
+    const Tensor q = query_.ForwardValue(sequence);
+    const Tensor k = key_.ForwardValue(sequence);
+    const Tensor v = value_.ForwardValue(sequence);
+    const Tensor attn = SoftmaxValue(
+        ScaleValue(MatMulValue(q, TransposeValue(k)), scale_), /*axis=*/1);
+    return MeanRowsValue(MatMulValue(attn, v));
+  }
+
   std::vector<Var> Parameters() const override {
     return CollectParameters({&query_, &key_, &value_});
   }

@@ -720,6 +720,10 @@ void InferenceEngine::BuildEmbedStage(const chain::LedgerSnapshot& snapshot,
   BA_TRACE_SPAN("serve.batch.build_embed");
   const core::GraphModel& model = classifier_->graph_model();
   const bool int8 = options_.precision == Precision::kInt8;
+  // GFN (the only encoder int8 supports) reads X^G alone, so it skips
+  // materializing X and Ã; the other encoders need the full tensors.
+  const bool gfn =
+      model.options().encoder == core::GraphEncoderKind::kGfn;
   std::vector<size_t> order(work->size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -734,9 +738,13 @@ void InferenceEngine::BuildEmbedStage(const chain::LedgerSnapshot& snapshot,
     Stopwatch embed_sw;
     embed_sw.Start();
     for (const core::AddressGraph& g : graphs) {
-      const core::GraphTensors gt = core::PrepareGraphTensors(g, k_hops_);
-      const tensor::Tensor e =
-          int8 ? model.EmbedQuantized(gt) : model.Embed(gt);
+      tensor::Tensor e;
+      if (gfn) {
+        const tensor::Tensor x = core::AugmentedFeatures(g, k_hops_);
+        e = int8 ? model.EmbedQuantized(x) : model.EmbedAugmented(x);
+      } else {
+        e = model.Embed(core::PrepareGraphTensors(g, k_hops_));
+      }
       std::vector<float> row(static_cast<size_t>(embed_dim_));
       for (int64_t j = 0; j < embed_dim_; ++j) {
         row[static_cast<size_t>(j)] = e.at(0, j);
@@ -756,32 +764,36 @@ void InferenceEngine::AggregateStage(std::vector<Work>* work) {
     FailAll(kFaultBatchAggregate, *work);
     work->clear();
   }
-  // Scale + aggregate each full embedding sequence, publish results and
-  // refresh the cache (serial; the LSTM head is tiny next to the
-  // build). A deadline that expired during the build still yields the
-  // fresh answer — labeled late when allowed, DeadlineExceeded
-  // otherwise — and the cache is refreshed either way: the work is
-  // done, future stale answers might as well benefit.
+  // Scale + aggregate each full embedding sequence over the pool (the
+  // model is const and Predict runs without the tape, so units run
+  // concurrently), then publish results and refresh the cache serially
+  // in work order. A deadline that expired during the build still
+  // yields the fresh answer — labeled late when allowed,
+  // DeadlineExceeded otherwise — and the cache is refreshed either
+  // way: the work is done, future stale answers might as well benefit.
   BA_TRACE_SPAN("serve.batch.aggregate");
   Stopwatch agg_sw;
   agg_sw.Start();
-  for (Work& w : *work) {
+  std::vector<int> predictions(work->size(), 0);
+  pool_->ParallelFor(work->size(), [&](size_t k) {
+    const Work& w = (*work)[k];
+    if (w.rows.empty()) return;
+    std::vector<core::EmbeddingSequence> seqs(1);
+    seqs[0].embeddings =
+        tensor::Tensor({static_cast<int64_t>(w.rows.size()), embed_dim_});
+    for (size_t r = 0; r < w.rows.size(); ++r) {
+      std::copy(w.rows[r].begin(), w.rows[r].end(),
+                seqs[0].embeddings.data() +
+                    static_cast<int64_t>(r) * embed_dim_);
+    }
+    classifier_->scaler().Apply(&seqs);
+    predictions[k] = classifier_->aggregator().Predict(seqs[0].embeddings);
+  });
+  for (size_t k = 0; k < work->size(); ++k) {
+    Work& w = (*work)[k];
     stats_.slices_built.Increment(static_cast<uint64_t>(w.built));
     stats_.slices_reused.Increment(static_cast<uint64_t>(w.reuse_slices));
-    int predicted = 0;
-    if (!w.rows.empty()) {
-      std::vector<core::EmbeddingSequence> seqs(1);
-      seqs[0].embeddings =
-          tensor::Tensor({static_cast<int64_t>(w.rows.size()), embed_dim_});
-      for (size_t r = 0; r < w.rows.size(); ++r) {
-        for (int64_t j = 0; j < embed_dim_; ++j) {
-          seqs[0].embeddings.at(static_cast<int64_t>(r), j) =
-              w.rows[r][static_cast<size_t>(j)];
-        }
-      }
-      classifier_->scaler().Apply(&seqs);
-      predicted = classifier_->aggregator().Predict(seqs[0].embeddings);
-    }
+    const int predicted = predictions[k];
     const std::optional<Answer> fresh =
         Answer{w.tx_count, predicted, w.reuse_slices, w.built, true};
     const auto now = SteadyClock::now();

@@ -102,25 +102,8 @@ Var MatMul(const Var& a, const Var& b) {
 }
 
 Var Add(const Var& a, const Var& b) {
-  const Tensor& av = a->value;
-  const Tensor& bv = b->value;
-  const bool broadcast = !av.SameShape(bv);
-  if (broadcast) {
-    BA_CHECK_EQ(av.rank(), 2);
-    BA_CHECK_EQ(bv.rank(), 2);
-    BA_CHECK_EQ(bv.dim(0), 1);
-    BA_CHECK_EQ(bv.dim(1), av.dim(1));
-  }
-  Tensor value = av;
-  if (broadcast) {
-    const int64_t m = av.dim(0), n = av.dim(1);
-    for (int64_t i = 0; i < m; ++i) {
-      for (int64_t j = 0; j < n; ++j) value.at(i, j) += bv.at(0, j);
-    }
-  } else {
-    value.AddInPlace(bv);
-  }
-  return MakeOp(std::move(value), {a, b}, [broadcast](Node& n) {
+  const bool broadcast = !a->value.SameShape(b->value);
+  return MakeOp(AddValue(a->value, b->value), {a, b}, [broadcast](Node& n) {
     const Var& a = n.parents[0];
     const Var& b = n.parents[1];
     if (a->requires_grad) a->AccumulateGrad(n.grad);
@@ -140,10 +123,7 @@ Var Add(const Var& a, const Var& b) {
 }
 
 Var Sub(const Var& a, const Var& b) {
-  BA_CHECK(a->value.SameShape(b->value));
-  Tensor value = a->value;
-  for (int64_t i = 0; i < value.numel(); ++i) value.data()[i] -= b->value.data()[i];
-  return MakeOp(std::move(value), {a, b}, [](Node& n) {
+  return MakeOp(SubValue(a->value, b->value), {a, b}, [](Node& n) {
     const Var& a = n.parents[0];
     const Var& b = n.parents[1];
     if (a->requires_grad) a->AccumulateGrad(n.grad);
@@ -156,10 +136,7 @@ Var Sub(const Var& a, const Var& b) {
 }
 
 Var Mul(const Var& a, const Var& b) {
-  BA_CHECK(a->value.SameShape(b->value));
-  Tensor value = a->value;
-  for (int64_t i = 0; i < value.numel(); ++i) value.data()[i] *= b->value.data()[i];
-  return MakeOp(std::move(value), {a, b}, [](Node& n) {
+  return MakeOp(MulValue(a->value, b->value), {a, b}, [](Node& n) {
     const Var& a = n.parents[0];
     const Var& b = n.parents[1];
     if (a->requires_grad) {
@@ -176,9 +153,7 @@ Var Mul(const Var& a, const Var& b) {
 }
 
 Var Scale(const Var& a, float s) {
-  Tensor value = a->value;
-  value.ScaleInPlace(s);
-  return MakeOp(std::move(value), {a}, [s](Node& n) {
+  return MakeOp(ScaleValue(a->value, s), {a}, [s](Node& n) {
     Tensor g = n.grad;
     g.ScaleInPlace(s);
     n.parents[0]->AccumulateGrad(g);
@@ -186,11 +161,7 @@ Var Scale(const Var& a, float s) {
 }
 
 Var Relu(const Var& a) {
-  Tensor value = a->value;
-  for (int64_t i = 0; i < value.numel(); ++i) {
-    value.data()[i] = std::max(0.0f, value.data()[i]);
-  }
-  return MakeOp(std::move(value), {a}, [](Node& n) {
+  return MakeOp(ReluValue(a->value), {a}, [](Node& n) {
     Tensor g = n.grad;
     for (int64_t i = 0; i < g.numel(); ++i) {
       if (n.parents[0]->value.data()[i] <= 0.0f) g.data()[i] = 0.0f;
@@ -200,11 +171,7 @@ Var Relu(const Var& a) {
 }
 
 Var Sigmoid(const Var& a) {
-  Tensor value = a->value;
-  for (int64_t i = 0; i < value.numel(); ++i) {
-    value.data()[i] = 1.0f / (1.0f + std::exp(-value.data()[i]));
-  }
-  return MakeOp(std::move(value), {a}, [](Node& n) {
+  return MakeOp(SigmoidValue(a->value), {a}, [](Node& n) {
     Tensor g = n.grad;
     for (int64_t i = 0; i < g.numel(); ++i) {
       const float y = n.value.data()[i];
@@ -215,11 +182,7 @@ Var Sigmoid(const Var& a) {
 }
 
 Var Tanh(const Var& a) {
-  Tensor value = a->value;
-  for (int64_t i = 0; i < value.numel(); ++i) {
-    value.data()[i] = std::tanh(value.data()[i]);
-  }
-  return MakeOp(std::move(value), {a}, [](Node& n) {
+  return MakeOp(TanhValue(a->value), {a}, [](Node& n) {
     Tensor g = n.grad;
     for (int64_t i = 0; i < g.numel(); ++i) {
       const float y = n.value.data()[i];
@@ -230,25 +193,8 @@ Var Tanh(const Var& a) {
 }
 
 Var Softmax(const Var& a, int axis) {
-  BA_CHECK_EQ(a->value.rank(), 2);
-  BA_CHECK(axis == 0 || axis == 1);
-  const int64_t m = a->value.dim(0), n = a->value.dim(1);
-  Tensor value = a->value;
-  auto softmax_span = [](float* base, int64_t count, int64_t stride) {
-    float max_v = base[0];
-    for (int64_t i = 1; i < count; ++i) max_v = std::max(max_v, base[i * stride]);
-    float total = 0.0f;
-    for (int64_t i = 0; i < count; ++i) {
-      base[i * stride] = std::exp(base[i * stride] - max_v);
-      total += base[i * stride];
-    }
-    for (int64_t i = 0; i < count; ++i) base[i * stride] /= total;
-  };
-  if (axis == 1) {
-    for (int64_t i = 0; i < m; ++i) softmax_span(value.data() + i * n, n, 1);
-  } else {
-    for (int64_t j = 0; j < n; ++j) softmax_span(value.data() + j, m, n);
-  }
+  Tensor value = SoftmaxValue(a->value, axis);
+  const int64_t m = value.dim(0), n = value.dim(1);
   return MakeOp(std::move(value), {a}, [axis, m, n](Node& node) {
     // dL/dx_i = y_i * (g_i - sum_j g_j y_j) along the softmax axis.
     Tensor gx({m, n});
@@ -318,22 +264,20 @@ Var SoftmaxCrossEntropy(const Var& logits, const std::vector<int>& labels) {
                 });
 }
 
+namespace {
+
+std::vector<const Tensor*> Values(const std::vector<Var>& parts) {
+  std::vector<const Tensor*> values;
+  values.reserve(parts.size());
+  for (const Var& p : parts) values.push_back(&p->value);
+  return values;
+}
+
+}  // namespace
+
 Var ConcatRows(const std::vector<Var>& parts) {
-  BA_CHECK(!parts.empty());
-  const int64_t cols = parts[0]->value.dim(1);
-  int64_t rows = 0;
-  for (const auto& p : parts) {
-    BA_CHECK_EQ(p->value.rank(), 2);
-    BA_CHECK_EQ(p->value.dim(1), cols);
-    rows += p->value.dim(0);
-  }
-  Tensor value({rows, cols});
-  int64_t offset = 0;
-  for (const auto& p : parts) {
-    std::copy(p->value.data(), p->value.data() + p->value.numel(),
-              value.data() + offset * cols);
-    offset += p->value.dim(0);
-  }
+  Tensor value = ConcatRowsValue(Values(parts));
+  const int64_t cols = value.dim(1);
   return MakeOp(std::move(value), parts, [cols](Node& n) {
     int64_t offset = 0;
     for (auto& p : n.parents) {
@@ -350,24 +294,8 @@ Var ConcatRows(const std::vector<Var>& parts) {
 }
 
 Var ConcatCols(const std::vector<Var>& parts) {
-  BA_CHECK(!parts.empty());
-  const int64_t rows = parts[0]->value.dim(0);
-  int64_t cols = 0;
-  for (const auto& p : parts) {
-    BA_CHECK_EQ(p->value.rank(), 2);
-    BA_CHECK_EQ(p->value.dim(0), rows);
-    cols += p->value.dim(1);
-  }
-  Tensor value({rows, cols});
-  int64_t offset = 0;
-  for (const auto& p : parts) {
-    const int64_t pc = p->value.dim(1);
-    for (int64_t i = 0; i < rows; ++i) {
-      std::copy(p->value.data() + i * pc, p->value.data() + (i + 1) * pc,
-                value.data() + i * cols + offset);
-    }
-    offset += pc;
-  }
+  Tensor value = ConcatColsValue(Values(parts));
+  const int64_t rows = value.dim(0), cols = value.dim(1);
   return MakeOp(std::move(value), parts, [rows, cols](Node& n) {
     int64_t offset = 0;
     for (auto& p : n.parents) {
@@ -387,13 +315,8 @@ Var ConcatCols(const std::vector<Var>& parts) {
 }
 
 Var SumRows(const Var& a) {
-  BA_CHECK_EQ(a->value.rank(), 2);
   const int64_t m = a->value.dim(0), n = a->value.dim(1);
-  Tensor value({1, n});
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) value.at(0, j) += a->value.at(i, j);
-  }
-  return MakeOp(std::move(value), {a}, [m, n](Node& node) {
+  return MakeOp(SumRowsValue(a->value), {a}, [m, n](Node& node) {
     Tensor g({m, n});
     for (int64_t i = 0; i < m; ++i) {
       for (int64_t j = 0; j < n; ++j) g.at(i, j) = node.grad.at(0, j);
@@ -408,23 +331,9 @@ Var MeanRows(const Var& a) {
 }
 
 Var MaxRows(const Var& a) {
-  BA_CHECK_EQ(a->value.rank(), 2);
   const int64_t m = a->value.dim(0), n = a->value.dim(1);
-  BA_CHECK_GT(m, 0);
-  Tensor value({1, n});
-  auto argmax = std::make_shared<std::vector<int64_t>>(n, 0);
-  for (int64_t j = 0; j < n; ++j) {
-    float best = a->value.at(0, j);
-    int64_t best_i = 0;
-    for (int64_t i = 1; i < m; ++i) {
-      if (a->value.at(i, j) > best) {
-        best = a->value.at(i, j);
-        best_i = i;
-      }
-    }
-    value.at(0, j) = best;
-    (*argmax)[static_cast<size_t>(j)] = best_i;
-  }
+  auto argmax = std::make_shared<std::vector<int64_t>>();
+  Tensor value = MaxRowsValue(a->value, argmax.get());
   return MakeOp(std::move(value), {a}, [m, n, argmax](Node& node) {
     Tensor g({m, n});
     for (int64_t j = 0; j < n; ++j) {
@@ -435,15 +344,8 @@ Var MaxRows(const Var& a) {
 }
 
 Var SliceRows(const Var& a, int64_t begin, int64_t end) {
-  BA_CHECK_EQ(a->value.rank(), 2);
-  BA_CHECK_GE(begin, 0);
-  BA_CHECK_LE(end, a->value.dim(0));
-  BA_CHECK_LT(begin, end);
-  const int64_t n = a->value.dim(1);
-  const int64_t rows = end - begin;
-  Tensor value({rows, n});
-  std::copy(a->value.data() + begin * n, a->value.data() + end * n,
-            value.data());
+  Tensor value = SliceRowsValue(a->value, begin, end);
+  const int64_t rows = value.dim(0), n = value.dim(1);
   return MakeOp(std::move(value), {a}, [begin, rows, n](Node& node) {
     Tensor g(node.parents[0]->value.shape());
     std::copy(node.grad.data(), node.grad.data() + rows * n,
@@ -453,13 +355,8 @@ Var SliceRows(const Var& a, int64_t begin, int64_t end) {
 }
 
 Var Transpose(const Var& a) {
-  BA_CHECK_EQ(a->value.rank(), 2);
   const int64_t m = a->value.dim(0), n = a->value.dim(1);
-  Tensor value({n, m});
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) value.at(j, i) = a->value.at(i, j);
-  }
-  return MakeOp(std::move(value), {a}, [m, n](Node& node) {
+  return MakeOp(TransposeValue(a->value), {a}, [m, n](Node& node) {
     Tensor g({m, n});
     for (int64_t i = 0; i < m; ++i) {
       for (int64_t j = 0; j < n; ++j) g.at(i, j) = node.grad.at(j, i);

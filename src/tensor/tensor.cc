@@ -1,5 +1,6 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <vector>
@@ -112,6 +113,183 @@ Tensor MatMulTransposeBValue(const Tensor& a, const Tensor& b) {
   internal::GemmDispatch(a.data(), /*as_i=*/k, /*as_p=*/1, bt.data(), c.data(),
                          m, k, n);
   return c;
+}
+
+Tensor AddValue(Tensor a, const Tensor& b) {
+  if (a.SameShape(b)) {
+    a.AddInPlace(b);
+    return a;
+  }
+  BA_CHECK_EQ(a.rank(), 2);
+  BA_CHECK_EQ(b.rank(), 2);
+  BA_CHECK_EQ(b.dim(0), 1);
+  BA_CHECK_EQ(b.dim(1), a.dim(1));
+  const int64_t m = a.dim(0), n = a.dim(1);
+  float* v = a.data();
+  const float* bias = b.data();
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) v[i * n + j] += bias[j];
+  }
+  return a;
+}
+
+Tensor SubValue(Tensor a, const Tensor& b) {
+  BA_CHECK(a.SameShape(b));
+  for (int64_t i = 0; i < a.numel(); ++i) a.data()[i] -= b.data()[i];
+  return a;
+}
+
+Tensor MulValue(Tensor a, const Tensor& b) {
+  BA_CHECK(a.SameShape(b));
+  for (int64_t i = 0; i < a.numel(); ++i) a.data()[i] *= b.data()[i];
+  return a;
+}
+
+Tensor ScaleValue(Tensor a, float s) {
+  a.ScaleInPlace(s);
+  return a;
+}
+
+Tensor ReluValue(Tensor a) {
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    a.data()[i] = std::max(0.0f, a.data()[i]);
+  }
+  return a;
+}
+
+Tensor SigmoidValue(Tensor a) {
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    a.data()[i] = 1.0f / (1.0f + std::exp(-a.data()[i]));
+  }
+  return a;
+}
+
+Tensor TanhValue(Tensor a) {
+  for (int64_t i = 0; i < a.numel(); ++i) a.data()[i] = std::tanh(a.data()[i]);
+  return a;
+}
+
+Tensor SoftmaxValue(Tensor a, int axis) {
+  BA_CHECK_EQ(a.rank(), 2);
+  BA_CHECK(axis == 0 || axis == 1);
+  const int64_t m = a.dim(0), n = a.dim(1);
+  Tensor value = std::move(a);
+  auto softmax_span = [](float* base, int64_t count, int64_t stride) {
+    float max_v = base[0];
+    for (int64_t i = 1; i < count; ++i) {
+      max_v = std::max(max_v, base[i * stride]);
+    }
+    float total = 0.0f;
+    for (int64_t i = 0; i < count; ++i) {
+      base[i * stride] = std::exp(base[i * stride] - max_v);
+      total += base[i * stride];
+    }
+    for (int64_t i = 0; i < count; ++i) base[i * stride] /= total;
+  };
+  if (axis == 1) {
+    for (int64_t i = 0; i < m; ++i) softmax_span(value.data() + i * n, n, 1);
+  } else {
+    for (int64_t j = 0; j < n; ++j) softmax_span(value.data() + j, m, n);
+  }
+  return value;
+}
+
+Tensor ConcatRowsValue(const std::vector<const Tensor*>& parts) {
+  BA_CHECK(!parts.empty());
+  const int64_t cols = parts[0]->dim(1);
+  int64_t rows = 0;
+  for (const Tensor* p : parts) {
+    BA_CHECK_EQ(p->rank(), 2);
+    BA_CHECK_EQ(p->dim(1), cols);
+    rows += p->dim(0);
+  }
+  Tensor value({rows, cols});
+  int64_t offset = 0;
+  for (const Tensor* p : parts) {
+    std::copy(p->data(), p->data() + p->numel(), value.data() + offset * cols);
+    offset += p->dim(0);
+  }
+  return value;
+}
+
+Tensor ConcatColsValue(const std::vector<const Tensor*>& parts) {
+  BA_CHECK(!parts.empty());
+  const int64_t rows = parts[0]->dim(0);
+  int64_t cols = 0;
+  for (const Tensor* p : parts) {
+    BA_CHECK_EQ(p->rank(), 2);
+    BA_CHECK_EQ(p->dim(0), rows);
+    cols += p->dim(1);
+  }
+  Tensor value({rows, cols});
+  int64_t offset = 0;
+  for (const Tensor* p : parts) {
+    const int64_t pc = p->dim(1);
+    for (int64_t i = 0; i < rows; ++i) {
+      std::copy(p->data() + i * pc, p->data() + (i + 1) * pc,
+                value.data() + i * cols + offset);
+    }
+    offset += pc;
+  }
+  return value;
+}
+
+Tensor SumRowsValue(const Tensor& a) {
+  BA_CHECK_EQ(a.rank(), 2);
+  const int64_t m = a.dim(0), n = a.dim(1);
+  Tensor value({1, n});
+  float* v = value.data();
+  const float* x = a.data();
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) v[j] += x[i * n + j];
+  }
+  return value;
+}
+
+Tensor MeanRowsValue(const Tensor& a) {
+  return ScaleValue(SumRowsValue(a), 1.0f / static_cast<float>(a.dim(0)));
+}
+
+Tensor MaxRowsValue(const Tensor& a, std::vector<int64_t>* argmax) {
+  BA_CHECK_EQ(a.rank(), 2);
+  const int64_t m = a.dim(0), n = a.dim(1);
+  BA_CHECK_GT(m, 0);
+  Tensor value({1, n});
+  if (argmax != nullptr) argmax->assign(static_cast<size_t>(n), 0);
+  for (int64_t j = 0; j < n; ++j) {
+    float best = a.at(0, j);
+    int64_t best_i = 0;
+    for (int64_t i = 1; i < m; ++i) {
+      if (a.at(i, j) > best) {
+        best = a.at(i, j);
+        best_i = i;
+      }
+    }
+    value.at(0, j) = best;
+    if (argmax != nullptr) (*argmax)[static_cast<size_t>(j)] = best_i;
+  }
+  return value;
+}
+
+Tensor SliceRowsValue(const Tensor& a, int64_t begin, int64_t end) {
+  BA_CHECK_EQ(a.rank(), 2);
+  BA_CHECK_GE(begin, 0);
+  BA_CHECK_LE(end, a.dim(0));
+  BA_CHECK_LT(begin, end);
+  const int64_t n = a.dim(1);
+  Tensor value({end - begin, n});
+  std::copy(a.data() + begin * n, a.data() + end * n, value.data());
+  return value;
+}
+
+Tensor TransposeValue(const Tensor& a) {
+  BA_CHECK_EQ(a.rank(), 2);
+  const int64_t m = a.dim(0), n = a.dim(1);
+  Tensor value({n, m});
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) value.at(j, i) = a.at(i, j);
+  }
+  return value;
 }
 
 }  // namespace ba::tensor

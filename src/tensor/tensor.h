@@ -165,4 +165,36 @@ Tensor MatMulTransposeAValue(const Tensor& a, const Tensor& b);
 /// Dense product with B transposed: C = A·Bᵀ for (m,k) x (n,k)ᵀ.
 Tensor MatMulTransposeBValue(const Tensor& a, const Tensor& b);
 
+// ---------------------------------------------------------------------------
+// Forward math of the autograd ops (autograd.h), on plain tensors. Each
+// differentiable op computes its value with the function here, so
+// inference that skips the tape gets the same bits as the tape's
+// forward pass. Shapes follow the op of the same name. Element-wise
+// functions take their first input by value and return it updated, so
+// a caller that moves a temporary in pays no copy.
+// ---------------------------------------------------------------------------
+
+/// Element-wise sum; `b` may be (1,n) and is then broadcast over rows.
+Tensor AddValue(Tensor a, const Tensor& b);
+Tensor SubValue(Tensor a, const Tensor& b);
+Tensor MulValue(Tensor a, const Tensor& b);
+Tensor ScaleValue(Tensor a, float s);
+Tensor ReluValue(Tensor a);
+Tensor SigmoidValue(Tensor a);
+Tensor TanhValue(Tensor a);
+/// Row-wise (axis=1) or column-wise (axis=0) softmax.
+Tensor SoftmaxValue(Tensor a, int axis = 1);
+Tensor ConcatRowsValue(const std::vector<const Tensor*>& parts);
+Tensor ConcatColsValue(const std::vector<const Tensor*>& parts);
+/// Column sums: (m,n) -> (1,n).
+Tensor SumRowsValue(const Tensor& a);
+/// Column means: SumRowsValue scaled by 1/m.
+Tensor MeanRowsValue(const Tensor& a);
+/// Column max: (m,n) -> (1,n); the first argmax row of each column
+/// goes to `argmax` when it is non-null.
+Tensor MaxRowsValue(const Tensor& a, std::vector<int64_t>* argmax = nullptr);
+/// Rows [begin, end).
+Tensor SliceRowsValue(const Tensor& a, int64_t begin, int64_t end);
+Tensor TransposeValue(const Tensor& a);
+
 }  // namespace ba::tensor

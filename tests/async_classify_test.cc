@@ -350,6 +350,61 @@ TEST_F(AsyncClassifyTest, AsyncColdBurstIsIdenticalAcrossPoolSizes) {
   }
 }
 
+TEST_F(AsyncClassifyTest, ColdBatchesAggregateConcurrentlyOnTwoWorkers) {
+  // Two workers, all-miss traffic from an async burst and a blocking
+  // batch at once: build+embed and the aggregate's Predict calls run
+  // concurrently on both workers (under TSan via check.sh thread), and
+  // every answer must still equal the serial re-run.
+  const std::vector<datagen::LabeledAddress> labeled =
+      simulator_->CollectLabeledAddresses(3);
+  const size_t n = std::min<size_t>(labeled.size(), 40);
+  ASSERT_GE(n, 32u);
+  auto engine = MakeEngine({}, /*num_threads=*/2);
+
+  std::vector<AddressId> blocking_addresses;
+  for (size_t i = n / 2; i < n; ++i) {
+    blocking_addresses.push_back(labeled[i].address);
+  }
+  std::vector<Result<ClassifyResult>> blocking_results;
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t done = 0;
+  std::vector<Result<ClassifyResult>> async_results(
+      n / 2, Result<ClassifyResult>(Status::Internal("not yet delivered")));
+  std::thread blocker(
+      [&] { blocking_results = engine->ClassifyBatch(blocking_addresses); });
+  for (size_t i = 0; i < n / 2; ++i) {
+    engine->ClassifyAsync(labeled[i].address, {},
+                          [&, i](Result<ClassifyResult> outcome,
+                                 const serve::RequestTimeline&) {
+                            std::lock_guard<std::mutex> lock(mu);
+                            async_results[i] = std::move(outcome);
+                            ++done;
+                            cv.notify_all();
+                          });
+  }
+  blocker.join();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(120),
+                            [&] { return done == n / 2; }));
+  }
+
+  ASSERT_EQ(blocking_results.size(), blocking_addresses.size());
+  for (size_t i = 0; i < n; ++i) {
+    const Result<ClassifyResult>& r =
+        i < n / 2 ? async_results[i] : blocking_results[i - n / 2];
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    EXPECT_EQ(r.value().predicted,
+              PredictAtEpoch(labeled[i].address, r.value().tx_count))
+        << "address " << labeled[i].address;
+  }
+  // Cold batches held several units each, so Predict did fan out.
+  const serve::InferenceMetricsSnapshot m = engine->Metrics();
+  EXPECT_EQ(m.misses, n);
+  EXPECT_LT(m.batches, n);
+}
+
 TEST_F(AsyncClassifyTest, DestructionDrainsCallbacksInFlight) {
   FaultGuard guard;
   std::atomic<int> fired{0};

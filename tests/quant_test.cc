@@ -202,7 +202,7 @@ TEST(GraphModelQuantizeTest, QuantizedEmbedTracksFp32) {
   EXPECT_TRUE(model.quantized());
   const core::GraphTensors& gt = calib[0].tensors[0];
   const Tensor fp32 = model.Embed(gt);
-  const Tensor int8 = model.EmbedQuantized(gt);
+  const Tensor int8 = model.EmbedQuantized(gt.augmented);
   ASSERT_TRUE(int8.SameShape(fp32));
   for (int64_t j = 0; j < fp32.dim(1); ++j) {
     ASSERT_NEAR(int8.at(0, j), fp32.at(0, j),

@@ -9,13 +9,17 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/classifier.h"
+#include "core/gfn_features.h"
+#include "core/graph_builder.h"
 #include "datagen/dataset.h"
 #include "datagen/simulator.h"
 #include "obs/metrics.h"
@@ -159,6 +163,125 @@ TEST_F(ServeTest, ClassifyBatchMatchesSerialPredict) {
   for (size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].ok());
     EXPECT_EQ(results[i].value().predicted, expected[i]);
+  }
+}
+
+/// One address's entry in a saved BASV cache file.
+struct SavedEntry {
+  uint64_t tx_count = 0;
+  int32_t predicted = 0;
+  std::vector<std::vector<float>> rows;
+};
+
+/// Parses the entries of a BASV cache file (layout: SaveCacheOnce).
+std::unordered_map<chain::AddressId, SavedEntry> ReadCacheFile(
+    const std::string& path, int64_t embed_dim) {
+  std::unordered_map<chain::AddressId, SavedEntry> out;
+  auto bytes = util::ReadFileToString(path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().message();
+  if (!bytes.ok()) return out;
+  const std::string& buf = bytes.value();
+  size_t pos = 4 + 4 + 4 + 4 + 8 + 1;  // magic .. precision
+  auto read = [&](void* dst, size_t n) {
+    EXPECT_LE(pos + n, buf.size());
+    std::memcpy(dst, buf.data() + pos, n);
+    pos += n;
+  };
+  uint64_t count = 0;
+  read(&count, sizeof(count));
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t address = 0;
+    uint32_t slices = 0;
+    SavedEntry e;
+    read(&address, sizeof(address));
+    read(&e.tx_count, sizeof(e.tx_count));
+    read(&e.predicted, sizeof(e.predicted));
+    read(&slices, sizeof(slices));
+    for (uint32_t r = 0; r < slices; ++r) {
+      std::vector<float> row(static_cast<size_t>(embed_dim));
+      read(row.data(), row.size() * sizeof(float));
+      e.rows.push_back(std::move(row));
+    }
+    out.emplace(static_cast<chain::AddressId>(address), std::move(e));
+  }
+  return out;
+}
+
+TEST_F(ServeTest, Fp32AndInt8ColdPathsMatchSerialRerunBitForBit) {
+  // The engine embeds from X^G alone and aggregates over its pool; the
+  // serial re-run below builds the full PrepareGraphTensors, embeds one
+  // graph at a time and predicts on this thread. Answers and cached
+  // slice embeddings must agree bit for bit, at both precisions.
+  std::vector<core::AddressSample> calibration;
+  ASSERT_TRUE(classifier_
+                  ->BuildSamples(simulator_->ledger(), *train_, &calibration)
+                  .ok());
+  ASSERT_TRUE(classifier_->Quantize(calibration).ok());
+  const core::GraphModel& model = classifier_->graph_model();
+  const int64_t embed_dim = model.embed_dim();
+  std::vector<chain::AddressId> addresses;
+  for (const auto* set : {test_, train_}) {
+    for (const auto& a : *set) addresses.push_back(a.address);
+  }
+
+  for (const Precision precision : {Precision::kFp32, Precision::kInt8}) {
+    SCOPED_TRACE(PrecisionName(precision));
+    const bool int8 = precision == Precision::kInt8;
+    TempFile cache(std::string("bitwise_") + PrecisionName(precision));
+    InferenceEngineOptions options;
+    options.precision = precision;
+    options.cache_path = cache.path();
+    auto engine = MakeEngine(options);
+    const auto results = engine->ClassifyBatch(addresses);
+    ASSERT_TRUE(engine->SaveCache().ok());
+    const auto saved = ReadCacheFile(cache.path(), embed_dim);
+
+    int compared = 0;
+    int mismatches = 0;
+    for (size_t i = 0; i < addresses.size(); ++i) {
+      ASSERT_TRUE(results[i].ok()) << results[i].status().message();
+      const ClassifyResult& r = results[i].value();
+      if (r.tx_count == 0) continue;
+      const chain::Ledger& ledger = simulator_->ledger();
+      const auto history = ledger.TransactionsOf(addresses[i]);
+      const chain::LedgerSnapshot snap = ledger.SnapshotAt(
+          history[static_cast<size_t>(r.tx_count) - 1] + 1);
+      core::GraphConstructor ctor(
+          classifier_->options().dataset.construction);
+      const auto graphs = ctor.BuildGraphs(snap, addresses[i]);
+      std::vector<core::EmbeddingSequence> seqs(1);
+      seqs[0].embeddings =
+          tensor::Tensor({static_cast<int64_t>(graphs.size()), embed_dim});
+      std::vector<std::vector<float>> rows;
+      for (size_t g = 0; g < graphs.size(); ++g) {
+        const core::GraphTensors gt = core::PrepareGraphTensors(
+            graphs[g], classifier_->options().dataset.k_hops);
+        const tensor::Tensor e =
+            int8 ? model.EmbedQuantized(gt.augmented) : model.Embed(gt);
+        rows.emplace_back(e.data(), e.data() + embed_dim);
+        std::copy(e.data(), e.data() + embed_dim,
+                  seqs[0].embeddings.data() +
+                      static_cast<int64_t>(g) * embed_dim);
+      }
+      classifier_->scaler().Apply(&seqs);
+      const int want = classifier_->aggregator().Predict(seqs[0].embeddings);
+
+      const auto it = saved.find(addresses[i]);
+      ASSERT_NE(it, saved.end()) << "address " << addresses[i];
+      ++compared;
+      bool same_rows = it->second.rows.size() == rows.size();
+      for (size_t g = 0; same_rows && g < rows.size(); ++g) {
+        same_rows = it->second.rows[g].size() == rows[g].size() &&
+                    std::memcmp(it->second.rows[g].data(), rows[g].data(),
+                                rows[g].size() * sizeof(float)) == 0;
+      }
+      if (r.predicted != want || it->second.predicted != want ||
+          it->second.tx_count != r.tx_count || !same_rows) {
+        ++mismatches;
+      }
+    }
+    EXPECT_GE(compared, 20);
+    EXPECT_EQ(mismatches, 0);
   }
 }
 
